@@ -1,12 +1,15 @@
 """Lagrange brackets of solution traces.
 
-The bracket of two solutions is the alternating boundary form
+The bracket of two solutions is the boundary form
 
-    [F, G] = (-1)^N  sum_{j=0}^{2N-1} (-1)^{1-j} (G^{[2N-j-1]})* F^{[j]},
+    [F, G](x) = G(x)* K F(x),    K = (-1)^(N+1) J,
 
-an M x M matrix built from the stacked quasi-derivative blocks.  Along a
-pair of kernel solutions the bracket is constant in x, which is the
-conserved quantity behind the boundary-matrix symplectic identities.
+an M x M matrix built from the stacked quasi-derivative traces, where J is
+the alternating anti-diagonal block matrix of ``system.block_j_matrix``.
+The fundamental matrix Psi of the companion system keeps the form
+invariant, Psi(x)* K Psi(x) = K, so along a pair of kernel solutions the
+bracket is constant in x: the conserved quantity behind the
+boundary-matrix symplectic identities.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .errors import StructureError
 from .integration import FundamentalMatrix, trace_at
+from .system import block_j_matrix
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,7 @@ class SolutionTraces:
                 f"initial trace must have {self.fm.n} rows, got {initial.shape}"
             )
         object.__setattr__(self, "initial", initial)
-        object.__setattr__(
-            self, "values", np.array([psi @ initial for psi in self.fm.values])
-        )
+        object.__setattr__(self, "values", self.fm.values @ initial)
 
     @property
     def grid(self) -> np.ndarray:
@@ -60,22 +62,17 @@ class SolutionTraces:
         return traces[j * M : (j + 1) * M, :]
 
 
-def _bracket_from_traces(f: SolutionTraces, g: SolutionTraces, Ft, Gt) -> np.ndarray:
-    N = f.fm.sys.N
-    M = f.fm.sys.M
-    total = np.zeros((Gt.shape[1], Ft.shape[1]), dtype=complex)
-    for j in range(2 * N):
-        Gblk = Gt[(2 * N - j - 1) * M : (2 * N - j) * M, :]
-        Fblk = Ft[j * M : (j + 1) * M, :]
-        total += (-1) ** (1 - j) * Gblk.conj().T @ Fblk
-    return (-1) ** N * total
+def _bracket_form(f: SolutionTraces) -> np.ndarray:
+    """K = (-1)^(N+1) J for the system of ``f``."""
+    sys = f.fm.sys
+    return (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
 
 
 def lagrange_bracket(f: SolutionTraces, g: SolutionTraces, x: float) -> np.ndarray:
     """The bracket [f, g] evaluated at x; scalar solutions give a 1x1 result."""
     if f.fm.sys.size != g.fm.sys.size or f.fm.sys.M != g.fm.sys.M:
         raise StructureError("operand traces have mismatched dimensions")
-    return _bracket_from_traces(f, g, f.at(x), g.at(x))
+    return g.at(x).conj().T @ _bracket_form(f) @ f.at(x)
 
 
 def check_bracket_constancy(f: SolutionTraces, g: SolutionTraces) -> float:
@@ -83,9 +80,5 @@ def check_bracket_constancy(f: SolutionTraces, g: SolutionTraces) -> float:
     over the stored grid.  Near zero for kernel solutions."""
     if not np.allclose(f.grid, g.grid):
         raise StructureError("operand traces have mismatched grids")
-    base = _bracket_from_traces(f, g, f.values[0], g.values[0])
-    worst = 0.0
-    for Ft, Gt in zip(f.values, g.values):
-        dev = np.linalg.norm(_bracket_from_traces(f, g, Ft, Gt) - base)
-        worst = max(worst, float(dev))
-    return worst
+    brackets = np.einsum("tki,kl,tlj->tij", g.values.conj(), _bracket_form(f), f.values)
+    return float(np.linalg.norm(brackets - brackets[0], axis=(1, 2)).max())

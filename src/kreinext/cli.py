@@ -70,6 +70,8 @@ def _as_jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, (np.complexfloating,)):
         return [float(value.real), float(value.imag)]
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.floating, np.integer)):
         return float(value)
     if isinstance(value, Fraction):
@@ -304,12 +306,9 @@ def run(cfg: JobConfig):
         checks["gamma_reconstruction_residual"] = recon
         checks["b_inverse_product_residual"] = float(
             np.linalg.norm(B_inv @ krein.B - np.eye(n)))
-        worst = 0.0
         cols = [SolutionTraces(fm, basis.C[:, [j]]) for j in range(n)]
-        for fa in cols:
-            for fb in cols:
-                worst = max(worst, check_bracket_constancy(fa, fb))
-        checks["bracket_constancy_worst"] = worst
+        checks["bracket_constancy_worst"] = max(
+            check_bracket_constancy(f, g) for f in cols for g in cols)
         for col in range(n):
             ok, res = extension.membership(
                 krein, basis.C[:, col], basis.Eb[:, col], tol=1e-8

@@ -302,13 +302,17 @@ def _interval_data(interval):
 
 
 def phi_on_interval(N: int, interval) -> ScaledBasis:
-    base = basis_polynomials(N)
+    return _scale_basis(N, lambda_inverse(N), interval)
+
+
+def _scale_basis(N: int, base: Matrix, interval) -> ScaledBasis:
+    """Carry the [0, 1] basis with coefficients ``base`` to the interval."""
     a, h = _interval_data(interval)
     coeffs = [[None] * (2 * N) for _ in range(2 * N)]
     for k in range(1, 2 * N + 1):
         scale = h ** (k - 1) if k <= N else h ** (k - N - 1)
         for ell in range(1, 2 * N + 1):
-            c = base.coeffs[ell - 1][k - 1]
+            c = base[ell - 1][k - 1]
             value = scale * c * h ** (1 - ell)
             coeffs[ell - 1][k - 1] = value if isinstance(h, Fraction) else float(value)
     return ScaledBasis(N=N, a=a, length=h, coeffs=coeffs)
@@ -317,61 +321,36 @@ def phi_on_interval(N: int, interval) -> ScaledBasis:
 def phi_blocks(N: int, interval):
     """Closed-form boundary blocks (phi0_a, phi0_b, phiN_a, phiN_b).
 
+    All four come from the lower block row [-X, D^-1] of lambda_inverse,
+    with X = D^-1 C A^-1.  With h the interval length, c_jk = h^-(N-k+j)
+    and E[j][s] = (N-1+s)!/(s-j)! (1-based, zero for s < j), entrywise
+
+        phi0_a = -(N-1+j)! c_jk X,      phiN_a = (N-1+j)! c_jk D^-1,
+        phi0_b = -c_jk (E X),           phiN_b = c_jk (E D^-1).
+
     Cross-checked entrywise against direct differentiation of the scaled
     basis (exact in rational mode).
     """
     a, h = _interval_data(interval)
     one = Fraction(1) if isinstance(h, Fraction) else 1.0
+    L = lambda_inverse(N)
+    minus_X = [row[:N] for row in L[N:]]
+    D_inv = [row[N:] for row in L[N:]]
+    E = [[factorial(N + s) * inv_factorial(s - j) for s in range(N)] for j in range(N)]
+    # 0-based j, k: (N-1+j)! becomes (N+j)!, h^-(N-k+j) keeps its exponent
+    fact = [factorial(N + j) for j in range(N)]
+    ones = [1] * N
 
-    phi0_a = [[None] * N for _ in range(N)]
-    phi0_b = [[None] * N for _ in range(N)]
-    phiN_a = [[None] * N for _ in range(N)]
-    phiN_b = [[None] * N for _ in range(N)]
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            pw = one / h ** (N - k + j)
+    def scaled(weights, Y):
+        return [[weights[j] * (one / h ** (N - k + j)) * Y[j][k] for k in range(N)]
+                for j in range(N)]
 
-            s1 = Fraction(0)
-            for r in range(1, N + 1):
-                fr = inv_factorial(r - 1) * inv_factorial(k - r)
-                if fr == 0:
-                    continue
-                for ell in range(1, N + 1):
-                    s1 += ((-1) ** (j + r) * fr * binom(ell - 1, j - 1)
-                           * binom(N + ell - r - 1, N - 1))
-            phi0_a[j - 1][k - 1] = -factorial(N - 1 + j) * pw * s1
+    phi0_a = scaled(fact, minus_X)
+    phiN_a = scaled(fact, D_inv)
+    phi0_b = scaled(ones, mat_mul(E, minus_X))
+    phiN_b = scaled(ones, mat_mul(E, D_inv))
 
-            s2 = Fraction(0)
-            for s in range(1, N + 1):
-                fs = inv_factorial(s - j)
-                if fs == 0:
-                    continue
-                for r in range(1, N + 1):
-                    fr = inv_factorial(r - 1) * inv_factorial(k - r)
-                    if fr == 0:
-                        continue
-                    for ell in range(1, N + 1):
-                        s2 += ((-1) ** (r + s) * factorial(N - 1 + s) * fr * fs
-                               * binom(ell - 1, s - 1) * binom(N + ell - r - 1, N - 1))
-            phi0_b[j - 1][k - 1] = -pw * s2
-
-            s3 = Fraction(0)
-            for ell in range(1, N + 1):
-                s3 += ((-1) ** (j + k) * inv_factorial(k - 1)
-                       * binom(ell - 1, j - 1) * binom(N + ell - k - 1, N - 1))
-            phiN_a[j - 1][k - 1] = factorial(N - 1 + j) * pw * s3
-
-            s4 = Fraction(0)
-            for s in range(1, N + 1):
-                fs = inv_factorial(s - j)
-                if fs == 0:
-                    continue
-                for ell in range(1, N + 1):
-                    s4 += ((-1) ** (s + k) * factorial(N - 1 + s) * inv_factorial(k - 1) * fs
-                           * binom(ell - 1, s - 1) * binom(N + ell - k - 1, N - 1))
-            phiN_b[j - 1][k - 1] = pw * s4
-
-    basis = phi_on_interval(N, interval)
+    basis = _scale_basis(N, L, interval)
     b = a + h
     for j in range(1, N + 1):
         for k in range(1, N + 1):
@@ -405,20 +384,13 @@ def toeplitz_TK(N: int, interval) -> list:
     ]
 
 
-def _t_blocks(N: int, interval):
-    _, h = _interval_data(interval)
-    T1 = [[h ** (k - j) * inv_factorial(k - j) if k >= j else 0 * h
-           for k in range(N)] for j in range(N)]
-    T2 = [[h ** (N + k - j) * inv_factorial(N + k - j)
-           for k in range(N)] for j in range(N)]
-    return T1, T2
-
-
 def verify_factorization(N: int, interval) -> bool:
     """Check the four block identities and the full product identity
     linking the boundary pair to the Toeplitz transfer matrix."""
     phi0_a, phi0_b, phiN_a, phiN_b = phi_blocks(N, interval)
-    T1, T2 = _t_blocks(N, interval)
+    tk = toeplitz_TK(N, interval)
+    T1 = [row[:N] for row in tk[:N]]
+    T2 = [row[N:] for row in tk[:N]]
     _, h = _interval_data(interval)
     exact = isinstance(h, Fraction)
 
@@ -459,4 +431,4 @@ def verify_factorization(N: int, interval) -> bool:
             B_K[N + j][k] = -phiN_b[j][k]
         A_K[j][N + j] = one
         B_K[N + j][N + j] = one
-    return close(mat_mul(B_K, toeplitz_TK(N, interval)), A_K)
+    return close(mat_mul(B_K, tk), A_K)

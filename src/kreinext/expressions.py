@@ -210,6 +210,19 @@ def pretty(ast: ExprAst) -> str:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
+def references_x(ast: ExprAst) -> bool:
+    """Whether the expression depends on the variable ``x``."""
+    if isinstance(ast, Var):
+        return True
+    if isinstance(ast, Neg):
+        return references_x(ast.child)
+    if isinstance(ast, BinOp):
+        return references_x(ast.left) or references_x(ast.right)
+    if isinstance(ast, Call):
+        return references_x(ast.arg)
+    return False
+
+
 def evaluate(ast: ExprAst, x: float) -> complex:
     """Evaluate an AST at a real point ``x``.
 

@@ -11,8 +11,6 @@ only up to that bound; the report says so explicitly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,14 +46,6 @@ def friedrichs_char_value(
     fm = fundamental_matrix(sys, lam=lam, rel_tol=rel_tol, abs_tol=abs_tol)
     sigma = np.linalg.svd(lambda_matrix(fm), compute_uv=False)
     return float(sigma.min())
-
-
-def _scan_workers() -> int:
-    raw = os.environ.get("KREIN_EXT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _golden_minimize(f, lo, hi, iterations=90):
@@ -98,12 +88,7 @@ def lowest_friedrichs_eigenvalue(
 
     fractions = np.linspace(0.0, 1.0, coarse_steps + 1)
     lambdas = lambda_max * fractions**2
-    workers = _scan_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sigmas = np.array(list(pool.map(char, lambdas)))
-    else:
-        sigmas = np.array([char(lam) for lam in lambdas])
+    sigmas = np.array([char(lam) for lam in lambdas])
     if not np.all(np.isfinite(sigmas)):
         raise StructureError("non-finite values in spectral scan")
 
@@ -121,7 +106,7 @@ def lowest_friedrichs_eigenvalue(
                     scan_lambdas=lambdas,
                     scan_sigmas=sigmas,
                     scan_bound=lambda_max,
-                    certified_strictly_positive=lam_star > POSITIVITY_MARGIN,
+                    certified_strictly_positive=bool(lam_star > POSITIVITY_MARGIN),
                 )
 
     # no eigenvalue found below the scan bound

@@ -47,14 +47,15 @@ class Interval:
 class MatrixFn:
     """An M x M (generally rows x cols) matrix-valued function of x.
 
-    Entries are either complex constants or parsed expression ASTs.
-    Instances are immutable; evaluation is pure.
+    Entries are either complex constants or parsed expression ASTs that
+    reference x; an expression free of x is folded to its value when the
+    function is built.  Instances are immutable; evaluation is pure.
     """
 
     def __init__(self, entries):
         grid = []
-        for row in entries:
-            grid.append([self._coerce_entry(entry) for entry in row])
+        for j, row in enumerate(entries):
+            grid.append([self._coerce_entry(entry, j, k) for k, entry in enumerate(row)])
         if not grid or any(len(row) != len(grid[0]) for row in grid):
             raise StructureError("entries must form a rectangular grid")
         self._entries = tuple(tuple(row) for row in grid)
@@ -62,12 +63,17 @@ class MatrixFn:
         self.cols = len(grid[0])
 
     @staticmethod
-    def _coerce_entry(entry):
+    def _coerce_entry(entry, j: int, k: int):
         if isinstance(entry, str):
-            return ex.parse(entry)
+            entry = ex.parse(entry)
         if isinstance(entry, Number):
             return complex(entry)
-        return entry  # assumed ExprAst
+        if ex.references_x(entry):  # assumed ExprAst
+            return entry
+        try:
+            return ex.evaluate(entry, None)
+        except EvaluationError as exc:
+            raise EvaluationError(f"entry ({j + 1},{k + 1}): {exc}") from exc
 
     @classmethod
     def constant(cls, array) -> "MatrixFn":
@@ -355,6 +361,8 @@ def preset_four_coeff(p, q, r, s, interval, M: int = 1) -> ShinZettlSystem:
         one = ex.Num(1.0)
         entry = p._entries[0][0]
         if isinstance(entry, complex):
+            if entry == 0:
+                raise EvaluationError("p vanishes, so 1/p is undefined")
             p_inv = MatrixFn.scalar(1.0 / entry)
         else:
             p_inv = MatrixFn([[ex.BinOp("/", one, entry)]])

@@ -1,5 +1,7 @@
 """Lagrange-bracket properties: constancy, sesquilinearity, entry formula."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ class TestConstancy:
         pipe = pipelines["fourth-order"]
         cols = kernel_columns(pipe)
         assert check_bracket_constancy(cols[0], cols[2]) <= 1e-8
+
+    def test_constancy_matches_scalar_bracket(self, pipelines):
+        # the grid-wide check agrees with the public pointwise bracket
+        pipe = pipelines["fourth-order"]
+        cols = kernel_columns(pipe)
+        a = pipe.fm.grid[0]
+        for f, g in itertools.product(cols, cols):
+            scalar = max(
+                np.linalg.norm(lagrange_bracket(f, g, x) - lagrange_bracket(f, g, a))
+                for x in pipe.fm.grid
+            )
+            assert abs(check_bracket_constancy(f, g) - scalar) <= 1e-12
 
     def test_non_kernel_pair_varies(self):
         # solutions at different spectral parameters have non-constant bracket

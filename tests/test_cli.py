@@ -66,6 +66,19 @@ class TestComputeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["validation"]["passed"]
 
+    def test_readme_command_default_lambda_max(self, tmp_path):
+        # the README example at the default scan bound locates the lowest
+        # Dirichlet eigenvalue pi^2, so the report carries scan results
+        out = tmp_path / "report.json"
+        code = run_cli(
+            ["compute", "--preset", "pure", "--order", "2", "--interval", "0,1",
+             "--out", str(out)]
+        )
+        assert code == 0
+        positivity = json.loads(out.read_text())["positivity"]
+        assert positivity["certified_strictly_positive"] is True
+        assert abs(positivity["lambda_min"] - np.pi**2) <= 1e-5
+
 
 class TestVerifyCommand:
     def test_verify_all_checks_present(self, tmp_path):
@@ -173,6 +186,17 @@ class TestExitCodes:
         assert run_cli(["compute", "--config", str(cfg)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["validation"]["passed"]
+
+    def test_vanishing_constant_p_exit_code(self, tmp_path, capsys):
+        # 1/p of a constant p = 0 is an evaluation failure -> exit 1
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
+            "p = 0\nq = 1\nr = 1\ns = 0\n"
+            "[tasks]\ntasks = validate\n"
+        )
+        assert run_cli(["compute", "--config", str(cfg)]) == 1
+        assert "1/p" in capsys.readouterr().err
 
     def test_singular_trace_map_exit_code(self, tmp_path):
         # kernel sin(pi x) makes the restricted trace map singular -> exit 2

@@ -5,7 +5,7 @@ import pytest
 
 import kreinext as kx
 from kreinext.errors import StructureError
-from kreinext.spectral import _scan_workers, friedrichs_char_value
+from kreinext.spectral import friedrichs_char_value
 
 
 class TestCharacteristicValue:
@@ -50,23 +50,3 @@ class TestScan:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(StructureError):
             kx.lowest_friedrichs_eigenvalue(kx.preset_pure(1, (0, 1)), lambda_max=0.0)
-
-
-class TestParallelism:
-    def test_worker_count_from_environment(self, monkeypatch):
-        monkeypatch.setenv("KREIN_EXT_THREADS", "3")
-        assert _scan_workers() == 3
-        monkeypatch.setenv("KREIN_EXT_THREADS", "garbage")
-        assert _scan_workers() == 1
-        monkeypatch.setenv("KREIN_EXT_THREADS", "0")
-        assert _scan_workers() == 1
-        monkeypatch.delenv("KREIN_EXT_THREADS")
-        assert _scan_workers() == 1
-
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        sys = kx.preset_pure(1, (0.0, np.pi))
-        serial = kx.lowest_friedrichs_eigenvalue(sys, lambda_max=2.0, coarse_steps=30)
-        monkeypatch.setenv("KREIN_EXT_THREADS", "4")
-        threaded = kx.lowest_friedrichs_eigenvalue(sys, lambda_max=2.0, coarse_steps=30)
-        assert np.allclose(serial.scan_sigmas, threaded.scan_sigmas)
-        assert serial.lambda_min == pytest.approx(threaded.lambda_min, abs=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext.errors import StructureError
+from kreinext.errors import EvaluationError, StructureError
 from kreinext.system import MatrixFn, chebyshev_points
 
 from conftest import assert_allclose
@@ -32,6 +32,16 @@ class TestMatrixFn:
         out = fn(2.0)
         assert abs(out[0, 0] - 4.0) < 1e-15
         assert abs(out[1, 1] - np.sin(2.0)) < 1e-15
+
+    def test_x_free_expressions_fold_to_constants(self):
+        fn = MatrixFn([["2*pi", "-(1/4)"], ["exp(i*pi)", "3"]])
+        assert fn.is_constant
+        assert_allclose(fn(0.3), [[2 * np.pi, -0.25], [-1, 3]], 1e-15)
+        assert kx.preset_four_coeff("1", "1", "1", "0", (0, 1)).is_constant
+
+    def test_x_free_evaluation_error_raised_on_build(self):
+        with pytest.raises(EvaluationError):
+            MatrixFn([["x", "1/0"]])
 
     def test_conj_transpose(self):
         fn = MatrixFn([["i", "2"], ["x", "0"]])
