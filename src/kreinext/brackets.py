@@ -56,11 +56,6 @@ class SolutionTraces:
     def at(self, x: float) -> np.ndarray:
         return trace_at(self.fm, x, self.initial)
 
-    def block(self, traces: np.ndarray, j: int) -> np.ndarray:
-        """Rows of the j-th quasi-derivative (0-based) in a trace block."""
-        M = self.fm.sys.M
-        return traces[j * M : (j + 1) * M, :]
-
 
 def _bracket_form(f: SolutionTraces) -> np.ndarray:
     """K = (-1)^(N+1) J for the system of ``f``."""

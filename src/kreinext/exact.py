@@ -5,8 +5,9 @@ operator is spanned by monomials, so the whole boundary-matrix pipeline
 collapses to combinatorics: explicit inverses built from binomial sums,
 polynomial boundary bases, closed-form boundary blocks, and an upper
 triangular Toeplitz transfer matrix.  Everything here is computed with
-``fractions.Fraction`` and is exact whenever the interval length is
-rational; irrational lengths fall back to floats.
+``fractions.Fraction``.  A float endpoint is taken at its exact binary
+value, so the arithmetic is exact for every interval; results are rounded
+to floats only on return, and only when an endpoint was given as a float.
 
 Binomial convention: ``binom(r, k) = 0`` for negative integer k, and the
 upper argument may be any integer or rational (generalized binomial).
@@ -273,8 +274,8 @@ def basis_polynomials(N: int) -> PolyBasis:
 class ScaledBasis:
     """The boundary basis carried to [a, b] by shift and scale.
 
-    ``coeffs[l][k]`` multiplies (x - a)^l.  Entries are Fractions when the
-    interval data is rational, floats otherwise.
+    ``coeffs[l][k]`` multiplies (x - a)^l.  Entries are Fractions, or
+    floats when an endpoint was given as a float.
     """
 
     N: int
@@ -295,26 +296,32 @@ class ScaledBasis:
 
 
 def _interval_data(interval):
+    """Exact left endpoint and length, and whether to return floats."""
     a, b = interval
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a), float(b) - float(a)
-    return Fraction(a), Fraction(b) - Fraction(a)
+    floating = isinstance(a, float) or isinstance(b, float)
+    return Fraction(a), Fraction(b) - Fraction(a), floating
+
+
+def _rounded(X: Matrix, floating: bool) -> list:
+    return [[float(v) for v in row] for row in X] if floating else X
 
 
 def phi_on_interval(N: int, interval) -> ScaledBasis:
-    return _scale_basis(N, lambda_inverse(N), interval)
+    basis = _scale_basis(N, lambda_inverse(N), interval)
+    if _interval_data(interval)[2]:
+        basis = ScaledBasis(N=N, a=float(basis.a), length=float(basis.length),
+                            coeffs=_rounded(basis.coeffs, True))
+    return basis
 
 
 def _scale_basis(N: int, base: Matrix, interval) -> ScaledBasis:
     """Carry the [0, 1] basis with coefficients ``base`` to the interval."""
-    a, h = _interval_data(interval)
+    a, h, _ = _interval_data(interval)
     coeffs = [[None] * (2 * N) for _ in range(2 * N)]
     for k in range(1, 2 * N + 1):
         scale = h ** (k - 1) if k <= N else h ** (k - N - 1)
         for ell in range(1, 2 * N + 1):
-            c = base[ell - 1][k - 1]
-            value = scale * c * h ** (1 - ell)
-            coeffs[ell - 1][k - 1] = value if isinstance(h, Fraction) else float(value)
+            coeffs[ell - 1][k - 1] = scale * base[ell - 1][k - 1] * h ** (1 - ell)
     return ScaledBasis(N=N, a=a, length=h, coeffs=coeffs)
 
 
@@ -328,11 +335,15 @@ def phi_blocks(N: int, interval):
         phi0_a = -(N-1+j)! c_jk X,      phiN_a = (N-1+j)! c_jk D^-1,
         phi0_b = -c_jk (E X),           phiN_b = c_jk (E D^-1).
 
-    Cross-checked entrywise against direct differentiation of the scaled
-    basis (exact in rational mode).
+    Cross-checked exactly against direct differentiation of the scaled
+    basis.
     """
-    a, h = _interval_data(interval)
-    one = Fraction(1) if isinstance(h, Fraction) else 1.0
+    floating = _interval_data(interval)[2]
+    return tuple(_rounded(X, floating) for X in _phi_blocks(N, interval))
+
+
+def _phi_blocks(N: int, interval):
+    a, h, _ = _interval_data(interval)
     L = lambda_inverse(N)
     minus_X = [row[:N] for row in L[N:]]
     D_inv = [row[N:] for row in L[N:]]
@@ -342,7 +353,7 @@ def phi_blocks(N: int, interval):
     ones = [1] * N
 
     def scaled(weights, Y):
-        return [[weights[j] * (one / h ** (N - k + j)) * Y[j][k] for k in range(N)]
+        return [[weights[j] * Y[j][k] / h ** (N - k + j) for k in range(N)]
                 for j in range(N)]
 
     phi0_a = scaled(fact, minus_X)
@@ -360,22 +371,19 @@ def phi_blocks(N: int, interval):
                 (phiN_a[j - 1][k - 1], basis.derivative_at(N + k, N + j - 1, a)),
                 (phiN_b[j - 1][k - 1], basis.derivative_at(N + k, N + j - 1, b)),
             )
-            for closed, direct in pairs:
-                if isinstance(h, Fraction):
-                    if closed != direct:
-                        raise AssertionError(
-                            f"closed-form block mismatch at (j={j}, k={k})"
-                        )
-                elif abs(closed - direct) > 1e-10 * max(1.0, abs(direct)):
-                    raise AssertionError(
-                        f"closed-form block mismatch at (j={j}, k={k})"
-                    )
+            if any(closed != direct for closed, direct in pairs):
+                raise AssertionError(f"closed-form block mismatch at (j={j}, k={k})")
     return phi0_a, phi0_b, phiN_a, phiN_b
 
 
 def toeplitz_TK(N: int, interval) -> list:
     """Upper triangular Toeplitz transfer matrix, entries h^(k-j)/(k-j)!."""
-    _, h = _interval_data(interval)
+    _, _, floating = _interval_data(interval)
+    return _rounded(_toeplitz(N, interval), floating)
+
+
+def _toeplitz(N: int, interval) -> Matrix:
+    _, h, _ = _interval_data(interval)
     n = 2 * N
     return [
         [h ** (k - j) * inv_factorial(k - j) if k >= j else 0 * h
@@ -385,50 +393,35 @@ def toeplitz_TK(N: int, interval) -> list:
 
 
 def verify_factorization(N: int, interval) -> bool:
-    """Check the four block identities and the full product identity
+    """Check exactly the four block identities and the full product identity
     linking the boundary pair to the Toeplitz transfer matrix."""
-    phi0_a, phi0_b, phiN_a, phiN_b = phi_blocks(N, interval)
-    tk = toeplitz_TK(N, interval)
+    phi0_a, phi0_b, phiN_a, phiN_b = _phi_blocks(N, interval)
+    tk = _toeplitz(N, interval)
     T1 = [row[:N] for row in tk[:N]]
     T2 = [row[N:] for row in tk[:N]]
-    _, h = _interval_data(interval)
-    exact = isinstance(h, Fraction)
-
-    def close(X, Y):
-        for rx, ry in zip(X, Y):
-            for vx, vy in zip(rx, ry):
-                if exact:
-                    if vx != vy:
-                        return False
-                elif abs(vx - vy) > 1e-9 * max(1.0, abs(vy)):
-                    return False
-        return True
 
     def neg(X):
         return [[-v for v in row] for row in X]
 
-    eye = [[Fraction(1) if j == k else Fraction(0) for k in range(N)] for j in range(N)]
     checks = [
-        close(mat_mul(neg(phiN_a), T1), phi0_a),
-        close(mat_mul(neg(phiN_b), T1), phi0_b),
-        close(mat_mul(phiN_a, T2), eye),
-        close(mat_mul(phiN_b, T2), T1),
+        mat_mul(neg(phiN_a), T1) == phi0_a,
+        mat_mul(neg(phiN_b), T1) == phi0_b,
+        mat_mul(phiN_a, T2) == mat_eye(N),
+        mat_mul(phiN_b, T2) == T1,
     ]
     if not all(checks):
         return False
 
     # full 2N x 2N product: A_K = B_K T_K
     n = 2 * N
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    A_K = [[zero] * n for _ in range(n)]
-    B_K = [[zero] * n for _ in range(n)]
+    A_K = _zeros(n)
+    B_K = _zeros(n)
     for j in range(N):
         for k in range(N):
             A_K[j][k] = -phi0_a[j][k]
             A_K[N + j][k] = phi0_b[j][k]
             B_K[j][k] = phiN_a[j][k]
             B_K[N + j][k] = -phiN_b[j][k]
-        A_K[j][N + j] = one
-        B_K[N + j][N + j] = one
-    return close(mat_mul(B_K, tk), A_K)
+        A_K[j][N + j] = Fraction(1)
+        B_K[N + j][N + j] = Fraction(1)
+    return mat_mul(B_K, tk) == A_K

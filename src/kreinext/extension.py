@@ -97,29 +97,16 @@ def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
     return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N)
 
 
-def _phi_block(traces: np.ndarray, M: int, N: int, offset: int) -> np.ndarray:
-    """Extract the MN x MN block of higher quasi-derivatives.
-
-    Block (j, k) is the M x M matrix of the (N+j-1)-th quasi-derivative of
-    the basis functions with column index k + offset.
-    """
-    out = np.zeros((M * N, M * N), dtype=complex)
-    for j in range(N):
-        for k in range(N):
-            rows = slice((N + j) * M, (N + j + 1) * M)
-            cols = slice((k + offset) * M, (k + offset + 1) * M)
-            out[j * M : (j + 1) * M, k * M : (k + 1) * M] = traces[rows, cols]
-    return out
-
-
 def phi_blocks(basis: KernelBasis):
-    """The four boundary blocks (phi0_a, phi0_b, phiN_a, phiN_b)."""
-    M, N = basis.M, basis.N
-    phi0_a = _phi_block(basis.C, M, N, 0)
-    phiN_a = _phi_block(basis.C, M, N, N)
-    phi0_b = _phi_block(basis.Eb, M, N, 0)
-    phiN_b = _phi_block(basis.Eb, M, N, N)
-    return phi0_a, phi0_b, phiN_a, phiN_b
+    """The four boundary blocks (phi0_a, phi0_b, phiN_a, phiN_b).
+
+    Rows MN.. of a trace hold the quasi-derivatives N..2N-1; the first MN
+    basis columns give the phi0 blocks and the last MN the phiN blocks,
+    read off the initial traces C (at a) and the end traces Eb (at b).
+    """
+    half = basis.M * basis.N
+    C, Eb = basis.C, basis.Eb
+    return C[half:, :half], Eb[half:, :half], C[half:, half:], Eb[half:, half:]
 
 
 def build_krein_pair(basis: KernelBasis) -> BoundaryPair:

@@ -11,6 +11,14 @@ M x M coefficient matrix functions subject to:
 together with positive definiteness of W and of the leading coefficient
 Z[N][N+1].  The conditions hold pointwise for the piecewise-continuous
 coefficients supported here and are verified on a Chebyshev sample grid.
+
+Each matrix function is compiled once, when it is built, into an array of
+its constant entries plus the short list of its x-dependent entries, and a
+system compiles its whole grid Z into one 2MN x 2MN function
+(``ShinZettlSystem.coefficients``).  Everything downstream reads that one
+representation: the validation samples it once at all points, and the
+companion matrix is S(x; lambda) = S0(x) + lambda E(x), with S0 the
+block-lower-Hessenberg part of the grid and E(x) the weight term.
 """
 
 from __future__ import annotations
@@ -45,22 +53,30 @@ class Interval:
 
 
 class MatrixFn:
-    """An M x M (generally rows x cols) matrix-valued function of x.
+    """A rows x cols matrix-valued function of x, compiled once when built.
 
-    Entries are either complex constants or parsed expression ASTs that
-    reference x; an expression free of x is folded to its value when the
-    function is built.  Instances are immutable; evaluation is pure.
+    Entries are complex constants or parsed expression ASTs; an expression
+    free of x is folded to its value.  The constants form one array, and
+    only the x-dependent ``(j, k, ast)`` entries are evaluated at a point.
+    Instances are immutable; evaluation is pure.
     """
 
     def __init__(self, entries):
-        grid = []
-        for j, row in enumerate(entries):
-            grid.append([self._coerce_entry(entry, j, k) for k, entry in enumerate(row)])
+        grid = [list(row) for row in entries]
         if not grid or any(len(row) != len(grid[0]) for row in grid):
             raise StructureError("entries must form a rectangular grid")
-        self._entries = tuple(tuple(row) for row in grid)
         self.rows = len(grid)
         self.cols = len(grid[0])
+        self._const = np.zeros((self.rows, self.cols), dtype=complex)
+        varying = []
+        for j, row in enumerate(grid):
+            for k, entry in enumerate(row):
+                value = self._coerce_entry(entry, j, k)
+                if isinstance(value, complex):
+                    self._const[j, k] = value
+                else:
+                    varying.append((j, k, value))
+        self._varying = tuple(varying)
 
     @staticmethod
     def _coerce_entry(entry, j: int, k: int):
@@ -85,52 +101,51 @@ class MatrixFn:
         return cls([[entry]])
 
     @classmethod
-    def identity(cls, m: int) -> "MatrixFn":
-        return cls.constant(np.eye(m))
-
-    @classmethod
-    def zero(cls, m: int) -> "MatrixFn":
-        return cls.constant(np.zeros((m, m)))
+    def from_blocks(cls, blocks) -> "MatrixFn":
+        """One function from a grid of equally sized blocks, laid out as
+        ``np.block`` lays out arrays."""
+        grid = np.block([[blk._const for blk in row] for row in blocks]).tolist()
+        for bj, row in enumerate(blocks):
+            for bk, blk in enumerate(row):
+                for j, k, ast in blk._varying:
+                    grid[bj * blk.rows + j][bk * blk.cols + k] = ast
+        return cls(grid)
 
     @property
     def is_constant(self) -> bool:
-        return all(
-            isinstance(entry, complex) for row in self._entries for entry in row
-        )
+        return not self._varying
 
-    def __call__(self, x: float) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for j, row in enumerate(self._entries):
-            for k, entry in enumerate(row):
-                if isinstance(entry, complex):
-                    out[j, k] = entry
-                else:
-                    try:
-                        out[j, k] = ex.evaluate(entry, x)
-                    except EvaluationError as exc:
-                        raise EvaluationError(
-                            f"entry ({j + 1},{k + 1}): {exc}", x=x
-                        ) from exc
-        return out
+    def __call__(self, x) -> np.ndarray:
+        """The value at a point x; an array of points gives shape
+        x.shape + (rows, cols), each x-dependent entry evaluated once per point."""
+        if not isinstance(x, np.ndarray):
+            out = self._const.copy()
+            for j, k, ast in self._varying:
+                out[j, k] = self._evaluate(ast, j, k, x)
+            return out
+        points = x.ravel().tolist()
+        out = np.repeat(self._const[np.newaxis], len(points), axis=0)
+        for j, k, ast in self._varying:
+            out[:, j, k] = [self._evaluate(ast, j, k, p) for p in points]
+        return out.reshape(x.shape + self._const.shape)
+
+    @staticmethod
+    def _evaluate(ast, j: int, k: int, x: float) -> complex:
+        try:
+            return ex.evaluate(ast, x)
+        except EvaluationError as exc:
+            raise EvaluationError(f"entry ({j + 1},{k + 1}): {exc}", x=x) from exc
 
     def conj_transpose(self) -> "MatrixFn":
-        grid = []
-        for k in range(self.cols):
-            row = []
-            for j in range(self.rows):
-                entry = self._entries[j][k]
-                if isinstance(entry, complex):
-                    row.append(entry.conjugate())
-                else:
-                    row.append(ex.Call("conj", entry))
-            grid.append(row)
+        grid = self._const.conj().T.tolist()
+        for j, k, ast in self._varying:
+            grid[k][j] = ex.Call("conj", ast)
         return MatrixFn(grid)
 
     def negate(self) -> "MatrixFn":
-        grid = [
-            [-entry if isinstance(entry, complex) else ex.Neg(entry) for entry in row]
-            for row in self._entries
-        ]
+        grid = (-self._const).tolist()
+        for j, k, ast in self._varying:
+            grid[j][k] = ex.Neg(ast)
         return MatrixFn(grid)
 
 
@@ -173,6 +188,8 @@ class ShinZettlSystem:
     interval: Interval
     W: MatrixFn
     Z: Sequence[Sequence[MatrixFn]] = field(repr=False)
+    _grid: MatrixFn = field(init=False, repr=False, compare=False)
+    _above: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
@@ -189,6 +206,12 @@ class ShinZettlSystem:
                         f"Z[{j + 1}][{k + 1}] must be {self.M}x{self.M}"
                     )
         object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "_grid", MatrixFn.from_blocks(Z))
+        # entries of the blocks strictly above the superdiagonal (A2)
+        blocks = np.triu(np.ones((self.order, self.order), dtype=bool), 2)
+        object.__setattr__(
+            self, "_above", np.kron(blocks, np.ones((self.M, self.M), dtype=bool))
+        )
 
     @property
     def order(self) -> int:
@@ -201,9 +224,13 @@ class ShinZettlSystem:
 
     @property
     def is_constant(self) -> bool:
-        return self.W.is_constant and all(
-            blk.is_constant for row in self.Z for blk in row
-        )
+        return self.W.is_constant and self._grid.is_constant
+
+    def coefficients(self, x) -> np.ndarray:
+        """The whole grid Z(x) as one 2MN x 2MN matrix, block (j, k) at rows
+        (j-1)M..jM and columns (k-1)M..kM; an array of points gives shape
+        x.shape + (2MN, 2MN)."""
+        return self._grid(x)
 
     def z_block(self, j: int, k: int) -> MatrixFn:
         """1-based access to the coefficient grid."""
@@ -249,8 +276,9 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _min_herm_eig(mat: np.ndarray) -> float:
-    herm = (mat + mat.conj().T) / 2.0
+def _min_herm_eig(mats: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian parts of a stack of matrices."""
+    herm = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
     return float(np.linalg.eigvalsh(herm).min())
 
 
@@ -260,61 +288,48 @@ def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationR
     Residual-style checks (A2, A3) report the worst Frobenius residual and
     pass at <= 1e-10; invertibility/positivity checks (A1, W, leading
     coefficient) report the worst minimum singular value or Hermitian
-    eigenvalue and pass at >= 1e-10.
+    eigenvalue and pass at >= 1e-10.  The grid is sampled once, and each
+    check is one batched decomposition or norm over all sample points.
     """
-    M, N = sys.M, sys.N
+    M, n = sys.M, sys.order
     xs = chebyshev_points(sys.interval.a, sys.interval.b, samples)
-    J = build_J(M, 2 * N)
+    big = sys.coefficients(xs)
+    Z = big.reshape(samples, n, M, n, M).swapaxes(2, 3)  # Z[:, j, k]: block (j+1, k+1)
+    J = build_J(M, n)
 
-    a1_worst = np.inf
-    a2_worst = 0.0
-    a3_worst = 0.0
-    w_worst = np.inf
-    lead_worst = np.inf
-
-    for x in xs:
-        Zx = np.zeros((2 * N, 2 * N, M, M), dtype=complex)
-        for j in range(2 * N):
-            for k in range(2 * N):
-                Zx[j, k] = sys.Z[j][k](x)
-        for j in range(1, 2 * N):  # A1, superdiagonal blocks j=1..2N-1
-            sigma = np.linalg.svd(Zx[j - 1, j], compute_uv=False)
-            a1_worst = min(a1_worst, float(sigma.min()))
-        for j in range(1, 2 * N + 1):  # A2
-            for k in range(j + 2, 2 * N + 1):
-                a2_worst = max(a2_worst, float(np.linalg.norm(Zx[j - 1, k - 1])))
-        big = Zx.transpose(0, 2, 1, 3).reshape(2 * N * M, 2 * N * M)
-        a3_worst = max(a3_worst, float(np.linalg.norm(big - J @ big.conj().T @ J)))
-        w_worst = min(w_worst, _min_herm_eig(sys.W(x)))
-        lead_worst = min(lead_worst, _min_herm_eig(Zx[N - 1, N]))
+    sup = np.arange(n - 1)
+    above = np.triu_indices(n, 2)
+    a1_worst = float(np.linalg.svd(Z[:, sup, sup + 1], compute_uv=False).min())
+    a2_worst = float(np.linalg.norm(Z[:, above[0], above[1]], axis=(-2, -1)).max(initial=0.0))
+    a3 = big - J @ big.conj().swapaxes(-1, -2) @ J
+    a3_worst = float(np.linalg.norm(a3, axis=(-2, -1)).max())
 
     tol = 1e-10
     checks = (
         CheckResult("A1", a1_worst, tol, "min_eig"),
         CheckResult("A2", a2_worst, tol, "residual"),
         CheckResult("A3", a3_worst, tol, "residual"),
-        CheckResult("W_positive", w_worst, tol, "min_eig"),
-        CheckResult("leading_positive", lead_worst, tol, "min_eig"),
+        CheckResult("W_positive", _min_herm_eig(sys.W(xs)), tol, "min_eig"),
+        CheckResult("leading_positive", _min_herm_eig(Z[:, sys.N - 1, sys.N]), tol, "min_eig"),
     )
     return ValidationReport(checks=checks, samples=samples)
 
 
 def companion_matrix(sys: ShinZettlSystem, x: float, lam: complex = 0.0) -> np.ndarray:
-    """First-order companion matrix S(x; lambda) for the trace vector.
+    """First-order companion matrix S(x; lambda) = S0(x) + lambda E(x).
 
     The stacked quasi-derivative column Y of a solution of the eigenvalue
-    equation satisfies Y' = S Y.  Block row j < 2N carries the blocks
-    Z[j][1..j] followed by Z[j][j+1]; block row 2N additionally picks up
-    the (-1)^N lambda W term replacing the top quasi-derivative.
+    equation satisfies Y' = S Y.  S0 is the compiled coefficient grid
+    ``sys.coefficients(x)`` masked to its block-lower-Hessenberg part (the
+    blocks above the superdiagonal, which A2 requires to vanish, are set to
+    zero): block row j carries Z[j][1..j+1].  E(x) holds (-1)^N W(x) in the
+    first block column of the last block row, the term replacing the top
+    quasi-derivative.
     """
-    M, N = sys.M, sys.N
-    n = 2 * N
-    S = np.zeros((M * n, M * n), dtype=complex)
-    for j in range(1, n + 1):
-        upto = min(j + 1, n)
-        for k in range(1, upto + 1):
-            S[(j - 1) * M : j * M, (k - 1) * M : k * M] = sys.Z[j - 1][k - 1](x)
-    S[(n - 1) * M :, :M] += (-1) ** N * lam * sys.W(x)
+    M = sys.M
+    S = sys.coefficients(x)
+    S[sys._above] = 0
+    S[-M:, :M] += (-1) ** sys.N * lam * sys.W(x)
     return S
 
 
@@ -357,19 +372,20 @@ def preset_four_coeff(p, q, r, s, interval, M: int = 1) -> ShinZettlSystem:
     q = as_matrix_fn(q, M)
     r = as_matrix_fn(r, M)
     s = as_matrix_fn(s, M)
-    if M == 1:
-        one = ex.Num(1.0)
-        entry = p._entries[0][0]
-        if isinstance(entry, complex):
-            if entry == 0:
-                raise EvaluationError("p vanishes, so 1/p is undefined")
-            p_inv = MatrixFn.scalar(1.0 / entry)
-        else:
-            p_inv = MatrixFn([[ex.BinOp("/", one, entry)]])
+    if M == 1 and p.is_constant:
+        value = complex(p(interval.a)[0, 0])
+        if value == 0:
+            raise EvaluationError("p vanishes, so 1/p is undefined")
+        p_inv = MatrixFn.scalar(1.0 / value)
+    elif M == 1:
+        p_inv = MatrixFn([[ex.BinOp("/", ex.Num(1.0), p._varying[0][2])]])
+    elif not p.is_constant:
+        raise StructureError("matrix-valued p must be constant to invert")
     else:
-        if not p.is_constant:
-            raise StructureError("matrix-valued p must be constant to invert")
-        p_inv = MatrixFn.constant(np.linalg.inv(p(interval.a)))
+        try:
+            p_inv = MatrixFn.constant(np.linalg.inv(p(interval.a)))
+        except np.linalg.LinAlgError as exc:
+            raise EvaluationError("p is singular, so 1/p is undefined") from exc
     Z = [
         [s.negate(), p_inv],
         [q, s.conj_transpose()],

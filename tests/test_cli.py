@@ -187,12 +187,14 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert not report["validation"]["passed"]
 
-    def test_vanishing_constant_p_exit_code(self, tmp_path, capsys):
-        # 1/p of a constant p = 0 is an evaluation failure -> exit 1
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_vanishing_constant_p_exit_code(self, tmp_path, capsys, block_size):
+        # 1/p of a constant p = 0 (a singular matrix for M > 1) is an
+        # evaluation failure -> exit 1
         cfg = tmp_path / "job.ini"
         cfg.write_text(
             "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
-            "p = 0\nq = 1\nr = 1\ns = 0\n"
+            f"block_size = {block_size}\np = 0\nq = 1\nr = 1\ns = 0\n"
             "[tasks]\ntasks = validate\n"
         )
         assert run_cli(["compute", "--config", str(cfg)]) == 1

@@ -146,5 +146,7 @@ class TestFactorization:
     def test_rational_interval(self, N):
         assert exact.verify_factorization(N, (Fraction(1, 3), Fraction(7, 2)))
 
-    def test_irrational_interval(self):
-        assert exact.verify_factorization(2, (0.0, np.sqrt(2.0)))
+    @pytest.mark.parametrize("N", [2, 8, 9, 10])
+    def test_irrational_interval(self, N):
+        # float endpoints are taken at their exact binary values
+        assert exact.verify_factorization(N, (0.0, np.sqrt(2.0)))

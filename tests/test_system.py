@@ -52,6 +52,18 @@ class TestMatrixFn:
         fn = MatrixFn([["x"]])
         assert fn.negate()(2.0)[0, 0] == -2.0
 
+    def test_array_call_stacks_scalar_calls(self):
+        fn = MatrixFn([["2", "x^2"], ["sin(x)", "i"]])
+        xs = np.array([[0.0, 0.5], [1.0, 2.5]])
+        out = fn(xs)
+        assert out.shape == (2, 2, 2, 2)
+        assert np.array_equal(out, np.array([[fn(x) for x in row] for row in xs.tolist()]))
+
+    def test_array_call_error_names_entry_and_point(self):
+        fn = MatrixFn([["1", "1/x"]])
+        with pytest.raises(EvaluationError, match=r"entry \(1,2\).*at x=0\.0"):
+            fn(np.array([1.0, 0.0]))
+
     def test_rejects_ragged_grid(self):
         with pytest.raises(StructureError):
             MatrixFn([[1, 2], [3]])
@@ -114,6 +126,23 @@ class TestPresets:
         sys = kx.preset_four_coeff(P, np.eye(2), np.eye(2), np.zeros((2, 2)), (0, 1), M=2)
         assert_allclose(sys.z_block(1, 2)(0.0), np.linalg.inv(P), 1e-15)
 
+    @pytest.mark.parametrize(
+        "build",
+        [kx.preset_fourth_order,
+         lambda: kx.preset_four_coeff(
+             [[2, 1], [1, 3]], MatrixFn([["x", "1"], ["1", "x^2"]]), np.eye(2),
+             MatrixFn([["i*x", "0"], ["x", "1"]]), (0.0, 1.0), M=2)],
+    )
+    def test_coefficients_hold_the_blocks(self, build):
+        sys = build()
+        M = sys.M
+        for x in (0.0, 0.7):
+            grid = sys.coefficients(x)
+            for j in range(1, sys.order + 1):
+                for k in range(1, sys.order + 1):
+                    block = grid[(j - 1) * M : j * M, (k - 1) * M : k * M]
+                    assert np.array_equal(block, sys.z_block(j, k)(x))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(StructureError):
             kx.ShinZettlSystem(
@@ -142,6 +171,48 @@ class TestValidation:
         sys = kx.preset_four_coeff(1, 1, "-1", 0, (0, 1))
         report = kx.validate_hypothesis(sys, samples=17)
         assert not report.check("W_positive").ok
+
+    def test_matches_pointwise_reference(self):
+        # an M = 2, N = 2 grid that fails every check, so each worst value is
+        # nontrivial; the loop below is the per-point reference
+        def block(j, k):
+            return MatrixFn([[f"{j}+{k}*x", "x"], [f"{k}-{j}", f"{j}*x^2-1"]])
+
+        sys = kx.ShinZettlSystem(
+            M=2, N=2, interval=kx.Interval(0.0, 1.0),
+            W=MatrixFn([["x", "1"], ["0", "1"]]),
+            Z=[[block(j, k) for k in range(4)] for j in range(4)],
+        )
+        report = kx.validate_hypothesis(sys, samples=17)
+        J = kx.build_J(2, 4)
+
+        def min_eig(mat):
+            return np.linalg.eigvalsh((mat + mat.conj().T) / 2).min()
+
+        ref = {"A1": np.inf, "A2": 0.0, "A3": 0.0, "W_positive": np.inf,
+               "leading_positive": np.inf}
+        for x in chebyshev_points(0.0, 1.0, 17):
+            big = np.block([[blk(x) for blk in row] for row in sys.Z])
+            for j in range(1, 4):
+                sigma = np.linalg.svd(sys.z_block(j, j + 1)(x), compute_uv=False)
+                ref["A1"] = min(ref["A1"], sigma.min())
+                for k in range(j + 2, 5):
+                    ref["A2"] = max(ref["A2"], np.linalg.norm(sys.z_block(j, k)(x)))
+            ref["A3"] = max(ref["A3"], np.linalg.norm(big - J @ big.conj().T @ J))
+            ref["W_positive"] = min(ref["W_positive"], min_eig(sys.W(x)))
+            ref["leading_positive"] = min(ref["leading_positive"],
+                                          min_eig(sys.z_block(2, 3)(x)))
+        for check in report.checks:
+            assert not check.ok, check.name
+            assert abs(check.worst - ref[check.name]) <= 1e-14 * max(1.0, abs(ref[check.name]))
+
+    def test_weight_eigenvalue_reported(self):
+        # eigenvalues of W are 1+x and 3+x: the worst is 1 at x = 0
+        W = MatrixFn([["2+x", "1"], ["1", "2+x"]])
+        sys = kx.preset_four_coeff(np.eye(2), np.eye(2), W, np.zeros((2, 2)), (0, 1), M=2)
+        report = kx.validate_hypothesis(sys)
+        assert report.check("W_positive").worst == 1.0
+        assert report.passed
 
     def test_vanishing_superdiagonal_detected(self):
         # superdiagonal coefficient vanishes at the left endpoint
