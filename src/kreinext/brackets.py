@@ -27,8 +27,8 @@ from .system import block_j_matrix
 class SolutionTraces:
     """Traces of a scalar (width 1) or matrix (width M) solution.
 
-    Stores the trace blocks on the integration grid and keeps the dense
-    output of the underlying fundamental matrix for off-grid evaluation.
+    Stores the trace blocks on the integration grid and keeps the
+    underlying fundamental matrix for off-grid evaluation.
     """
 
     fm: FundamentalMatrix

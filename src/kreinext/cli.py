@@ -96,9 +96,9 @@ def load_config_file(path: str) -> JobConfig:
         op = parser["operator"]
         cfg.preset = op.get("preset", None)
         if "order" in op:
-            cfg.order = int(op["order"])
+            cfg.order = _parse_number(op, "order", int)
         if "block_size" in op:
-            cfg.block_size = int(op["block_size"])
+            cfg.block_size = _parse_number(op, "block_size", int)
         if "interval" in op:
             cfg.interval = _parse_interval(op["interval"])
         for key, value in op.items():
@@ -107,13 +107,20 @@ def load_config_file(path: str) -> JobConfig:
             cfg.coefficients[key] = value
     if parser.has_section("tolerances"):
         tol = parser["tolerances"]
-        cfg.rel_tol = float(tol.get("rel_tol", cfg.rel_tol))
-        cfg.abs_tol = float(tol.get("abs_tol", cfg.abs_tol))
-        cfg.lambda_max = float(tol.get("lambda_max", cfg.lambda_max))
+        for key in ("rel_tol", "abs_tol", "lambda_max"):
+            if key in tol:
+                setattr(cfg, key, _parse_number(tol, key, float))
     if parser.has_section("tasks"):
         raw = parser["tasks"].get("tasks", "")
         cfg.tasks = [t for t in raw.replace(",", " ").split() if t]
     return cfg
+
+
+def _parse_number(section, key: str, kind):
+    try:
+        return kind(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {section[key]!r}") from exc
 
 
 def _parse_interval(text: str) -> tuple:
@@ -388,6 +395,10 @@ def config_from_args(args) -> JobConfig:
     if args.lambda_max is not None:
         cfg.lambda_max = args.lambda_max
     cfg.out = args.out
+    if not 0 < cfg.lambda_max < np.inf:
+        raise ConfigError(f"lambda_max must be positive and finite, got {cfg.lambda_max}")
+    if not (0 < cfg.rel_tol < 1 and 0 < cfg.abs_tol < 1):
+        raise ConfigError(f"tolerances must lie in (0, 1), got {cfg.rel_tol}, {cfg.abs_tol}")
     return cfg
 
 

@@ -32,16 +32,20 @@ def gamma_map(Ya: np.ndarray, Yb: np.ndarray) -> np.ndarray:
     return np.concatenate([Ya[:half], Yb[:half]], axis=0)
 
 
-def lambda_matrix(fm: FundamentalMatrix) -> np.ndarray:
+def lambda_matrix(psi_b) -> np.ndarray:
     """Matrix of the endpoint-trace map on the solution space.
 
     Row block 1 projects the initial trace onto its first MN entries; row
-    block 2 does the same after propagation to the right endpoint.
+    block 2 does the same after propagation to the right endpoint, i.e. it
+    is the top half of Psi(b).  ``psi_b`` is a fundamental matrix, Psi(b),
+    or a stack of Psi(b) matrices (giving a stack of Lambda matrices).
     """
-    n = fm.n
+    if isinstance(psi_b, FundamentalMatrix):
+        psi_b = psi_b.end()
+    n = psi_b.shape[-1]
     half = n // 2
-    P = np.hstack([np.eye(half), np.zeros((half, half))])
-    return np.vstack([P, P @ fm.end()])
+    P = np.broadcast_to(np.eye(half, n), psi_b.shape[:-2] + (half, n))
+    return np.concatenate([P, psi_b[..., :half, :]], axis=-2)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,36 @@
-"""Fundamental-matrix integration for the companion system.
+"""Fundamental matrix of the companion system U' = S(x; lambda) U, U(a) = I.
 
-Integrates U' = S(x; lambda) U with U(a) = I using an adaptive embedded
-Runge-Kutta (5,4) pair (Dormand-Prince, via scipy) with dense output, all
-columns simultaneously.  The resulting fundamental matrix backs every
-kernel-basis and spectral computation.
+Two propagators, chosen by the system:
+
+- constant coefficients: the exact solution Psi(x) = expm(S (x - a)),
+  by scaling and squaring (scipy's Pade ``expm``).  The stored grid is
+  filled by products with the one step exponential E = expm(S h), and the
+  endpoint value is expm(S L) itself;
+- variable coefficients: the 8th-order Dormand-Prince pair DOP853 (via
+  scipy's ``solve_ivp``) under local error control at the requested
+  tolerances, all columns at once, with dense output.
+
+``fundamental_matrix`` returns the grid of Psi that the kernel basis and
+the bracket checks read.  ``end_matrix`` returns Psi(b; lambda) only, with
+no grid and no dense output, for a single lambda or a whole array of them:
+the positivity scan needs nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .errors import IntegrationError, StructureError
 from .system import ShinZettlSystem, companion_matrix
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
-GRID_POINTS = 65  # stored dense-output samples; >= 33 for bracket checks
+GRID_POINTS = 65  # stored samples; >= 33 for bracket checks
 
 
 @dataclass(frozen=True)
@@ -29,22 +41,82 @@ class FundamentalMatrix:
     values: np.ndarray  # shape (len(grid), n, n)
     rel_tol: float
     abs_tol: float
-    _dense: object = field(repr=False)
+    _psi: Callable = field(repr=False)  # x in [a, b] -> Psi(x)
 
     @property
     def n(self) -> int:
         return self.sys.size
 
     def at(self, x: float) -> np.ndarray:
-        """Dense-output evaluation of the fundamental matrix at x."""
+        """The fundamental matrix at x: the exponential for a constant
+        system, dense output otherwise."""
         a, b = self.sys.interval.a, self.sys.interval.b
         if not (a - 1e-12 <= x <= b + 1e-12):
             raise StructureError(f"x={x} outside [{a}, {b}]")
-        return self._dense(min(max(x, a), b)).reshape(self.n, self.n)
+        return self._psi(min(max(x, a), b))
 
     def end(self) -> np.ndarray:
         """The fundamental matrix at the right endpoint."""
         return self.values[-1]
+
+
+def _check_tolerances(rel_tol: float, abs_tol: float):
+    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
+        raise StructureError("tolerances must lie in (0, 1)")
+
+
+def _check_finite(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise IntegrationError("non-finite fundamental matrix values")
+
+
+def _solve(sys: ShinZettlSystem, lam, rel_tol, abs_tol, **output):
+    """DOP853 solve of the variable-coefficient system over [a, b]."""
+    n = sys.size
+    a, b = sys.interval.a, sys.interval.b
+
+    def rhs(x, u):
+        return (companion_matrix(sys, x, lam) @ u.reshape(n, n)).ravel()
+
+    sol = solve_ivp(
+        rhs,
+        (a, b),
+        np.eye(n, dtype=complex).ravel(),
+        method="DOP853",
+        rtol=rel_tol,
+        atol=abs_tol,
+        **output,
+    )
+    if not sol.success:
+        raise IntegrationError(
+            f"integration failed near x={sol.t[-1] if len(sol.t) else a}: {sol.message}"
+        )
+    return sol
+
+
+def end_matrix(
+    sys: ShinZettlSystem,
+    lam=0.0,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> np.ndarray:
+    """Psi(b; lambda) only; an array of lambdas gives the stack
+    lam.shape + (n, n).
+
+    A constant system takes one batched ``expm`` of S(lambda) L over the
+    whole stack; a variable one takes one endpoint-only solve per lambda.
+    """
+    _check_tolerances(rel_tol, abs_tol)
+    a, n = sys.interval.a, sys.size
+    if sys.is_constant:
+        psi = expm(companion_matrix(sys, a, lam) * sys.interval.length)
+    else:
+        lams = np.asarray(lam)
+        psi = np.array(
+            [_solve(sys, lam_k, rel_tol, abs_tol).y[:, -1] for lam_k in lams.ravel().tolist()]
+        ).reshape(lams.shape + (n, n))
+    _check_finite(psi)
+    return psi
 
 
 def fundamental_matrix(
@@ -53,48 +125,39 @@ def fundamental_matrix(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> FundamentalMatrix:
-    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
-        raise StructureError("tolerances must lie in (0, 1)")
+    _check_tolerances(rel_tol, abs_tol)
     n = sys.size
     a, b = sys.interval.a, sys.interval.b
+    grid = np.linspace(a, b, GRID_POINTS)
 
     if sys.is_constant:
-        S_const = companion_matrix(sys, a, lam)
+        S = companion_matrix(sys, a, lam)
+        step = expm(S * (grid[1] - a))
+        values = np.empty((len(grid), n, n), dtype=complex)
+        values[0] = np.eye(n)
+        for k in range(1, len(grid) - 1):
+            values[k] = values[k - 1] @ step
+        values[-1] = expm(S * sys.interval.length)
 
-        def rhs(x, u):
-            return (S_const @ u.reshape(n, n)).ravel()
+        def psi(x):
+            return expm(S * (x - a))
 
     else:
+        sol = _solve(sys, lam, rel_tol, abs_tol, t_eval=grid, dense_output=True)
+        values = sol.y.T.reshape(len(grid), n, n).copy()
+        values[0] = np.eye(n)  # initial condition is exact by construction
+        dense = sol.sol
 
-        def rhs(x, u):
-            S = companion_matrix(sys, x, lam)
-            return (S @ u.reshape(n, n)).ravel()
+        def psi(x):
+            return dense(x).reshape(n, n)
 
-    grid = np.linspace(a, b, GRID_POINTS)
-    sol = solve_ivp(
-        rhs,
-        (a, b),
-        np.eye(n, dtype=complex).ravel(),
-        method="RK45",
-        t_eval=grid,
-        dense_output=True,
-        rtol=rel_tol,
-        atol=abs_tol,
-    )
-    if not sol.success:
+    _check_finite(values)
+    sign, logdet = np.linalg.slogdet(values)
+    singular = (sign == 0) | ~np.isfinite(logdet)
+    if singular.any():
         raise IntegrationError(
-            f"integration failed near x={sol.t[-1] if len(sol.t) else a}: {sol.message}"
+            f"fundamental matrix singular at grid point x={grid[np.argmax(singular)]}"
         )
-    values = sol.y.T.reshape(len(grid), n, n).copy()
-    if not np.all(np.isfinite(values)):
-        raise IntegrationError("non-finite fundamental matrix values")
-    values[0] = np.eye(n)  # initial condition is exact by construction
-    for k, psi in enumerate(values):
-        sign, logdet = np.linalg.slogdet(psi)
-        if sign == 0 or not np.isfinite(logdet):
-            raise IntegrationError(
-                f"fundamental matrix singular at grid point x={grid[k]}"
-            )
     return FundamentalMatrix(
         sys=sys,
         lam=lam,
@@ -102,7 +165,7 @@ def fundamental_matrix(
         values=values,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        _dense=sol.sol,
+        _psi=psi,
     )
 
 

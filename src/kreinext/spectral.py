@@ -3,10 +3,14 @@ extension.
 
 A real lambda is a Friedrichs eigenvalue exactly when a nontrivial solution
 of the eigenvalue equation has vanishing first-half traces at both ends,
-i.e. when the endpoint-trace matrix built from the fundamental matrix at
-lambda is singular.  We scan its minimum singular value and refine dips by
-golden-section search.  A clean scan up to lambda_max certifies positivity
-only up to that bound; the report says so explicitly.
+i.e. when the endpoint-trace matrix Lambda(lambda), built from Psi(b;
+lambda) alone, is singular.  The scan reads Psi(b; lambda) through
+``integration.end_matrix`` and nothing else: for a constant system the
+whole coarse grid is one batched matrix exponential and one batched SVD,
+and for a variable one each point is one endpoint-only DOP853 solve.  Each
+local dip of the minimum singular value is refined by golden-section search
+through the same endpoint function.  A clean scan up to lambda_max
+certifies positivity only up to that bound; the report says so explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import StructureError
 from .extension import lambda_matrix
-from .integration import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, fundamental_matrix
+from .integration import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, end_matrix
 from .system import ShinZettlSystem
 
 POSITIVITY_MARGIN = 1e-8
@@ -38,14 +42,15 @@ class SpectralScanResult:
 
 def friedrichs_char_value(
     sys: ShinZettlSystem,
-    lam: float,
+    lam,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
-    """Minimum singular value of the endpoint-trace matrix at lambda."""
-    fm = fundamental_matrix(sys, lam=lam, rel_tol=rel_tol, abs_tol=abs_tol)
-    sigma = np.linalg.svd(lambda_matrix(fm), compute_uv=False)
-    return float(sigma.min())
+):
+    """Minimum singular value of the endpoint-trace matrix at lambda; an
+    array of lambdas gives an array of values, from one batched SVD."""
+    psi_b = end_matrix(sys, lam, rel_tol=rel_tol, abs_tol=abs_tol)
+    sigma = np.linalg.svd(lambda_matrix(psi_b), compute_uv=False).min(axis=-1)
+    return sigma if isinstance(lam, np.ndarray) else float(sigma)
 
 
 def _golden_minimize(f, lo, hi, iterations=90):
@@ -88,7 +93,7 @@ def lowest_friedrichs_eigenvalue(
 
     fractions = np.linspace(0.0, 1.0, coarse_steps + 1)
     lambdas = lambda_max * fractions**2
-    sigmas = np.array([char(lam) for lam in lambdas])
+    sigmas = char(lambdas)
     if not np.all(np.isfinite(sigmas)):
         raise StructureError("non-finite values in spectral scan")
 

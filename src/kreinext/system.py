@@ -153,8 +153,8 @@ def as_matrix_fn(value, m: int = 1) -> MatrixFn:
     """Coerce a scalar, expression string, array, or MatrixFn to a MatrixFn."""
     if isinstance(value, MatrixFn):
         return value
-    if isinstance(value, str):
-        return MatrixFn.scalar(value) if m == 1 else MatrixFn.constant(np.eye(m) * complex(value))
+    if isinstance(value, str):  # expr * I_m
+        return MatrixFn([[value if j == k else 0.0 for k in range(m)] for j in range(m)])
     if isinstance(value, Number):
         return MatrixFn.constant(np.eye(m) * complex(value)) if m > 1 else MatrixFn.scalar(value)
     return MatrixFn.constant(value)
@@ -324,11 +324,16 @@ def companion_matrix(sys: ShinZettlSystem, x: float, lam: complex = 0.0) -> np.n
     blocks above the superdiagonal, which A2 requires to vanish, are set to
     zero): block row j carries Z[j][1..j+1].  E(x) holds (-1)^N W(x) in the
     first block column of the last block row, the term replacing the top
-    quasi-derivative.
+    quasi-derivative.  An array of lambdas gives the stack
+    lam.shape + (2MN, 2MN) at the one point x.
     """
     M = sys.M
     S = sys.coefficients(x)
     S[sys._above] = 0
+    if isinstance(lam, np.ndarray):
+        S = np.broadcast_to(S, lam.shape + S.shape).copy()
+        S[..., -M:, :M] += ((-1) ** sys.N * lam)[..., np.newaxis, np.newaxis] * sys.W(x)
+        return S
     S[-M:, :M] += (-1) ** sys.N * lam * sys.W(x)
     return S
 

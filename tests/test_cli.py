@@ -2,6 +2,9 @@
 and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +84,13 @@ class TestComputeCommand:
 
 
 class TestVerifyCommand:
+    def test_pure_order_8_brackets_constant(self, tmp_path):
+        # the exact propagator keeps the order-8 bracket check under its gate
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--preset", "pure", "--order", "8", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["checks"]["bracket_constancy_worst"] <= 1e-8
+
     def test_verify_all_checks_present(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(
@@ -126,6 +136,26 @@ class TestConfigFile:
         T = as_complex(json.loads(out.read_text())["matrices"]["T_K"])
         c, s = np.cosh(1.0), np.sinh(1.0)
         assert_allclose(T, [[c, s], [s, c]], 1e-8)
+
+    def test_block_expression_coefficient(self, tmp_path):
+        # q = 1+x with block size 2 is (1+x) I_2: two uncoupled copies of
+        # the scalar operator
+        reports = {}
+        for M in (1, 2):
+            cfg = tmp_path / f"job{M}.ini"
+            cfg.write_text(
+                "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
+                f"block_size = {M}\np = 1\nq = 1+x\nr = 1\ns = 0\n"
+                "[tolerances]\nlambda_max = 20\n"
+            )
+            out = tmp_path / f"report{M}.json"
+            assert run_cli(["compute", "--config", str(cfg), "--out", str(out)]) == 0
+            reports[M] = json.loads(out.read_text())
+        scalar = as_complex(reports[1]["matrices"]["T_K"])
+        assert_allclose(as_complex(reports[2]["matrices"]["T_K"]),
+                        np.kron(scalar, np.eye(2)), 1e-9)
+        lam = [reports[M]["positivity"]["lambda_min"] for M in (1, 2)]
+        assert abs(lam[1] - lam[0]) <= 1e-9, lam
 
     def test_explicit_operator_entries(self, tmp_path):
         # -y'' + y via explicit coefficient expressions
@@ -174,6 +204,33 @@ class TestExitCodes:
             "[tasks]\ntasks = validate\n"
         )
         assert run_cli(["compute", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "config, option",
+        [
+            ("[operator]\npreset = pure\norder = abc\ninterval = 0, 1\n", []),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n"
+             "[tolerances]\nrel_tol = abc\n", []),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
+             ["--lambda-max", "0"]),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
+             ["--rel-tol", "0"]),
+        ],
+        ids=["order", "rel_tol", "lambda_max", "rel_tol_range"],
+    )
+    def test_bad_number_is_configuration_error(self, tmp_path, config, option):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(config)
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kreinext.cli", "compute", "--config", str(cfg), *option],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("configuration error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         # negative weight fails the structural checks -> exit 1

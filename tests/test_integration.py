@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import kreinext as kx
 from kreinext.errors import StructureError
-from kreinext.integration import trace_at
+from kreinext.integration import end_matrix, trace_at
 from kreinext.system import companion_matrix
 
 from conftest import assert_allclose
@@ -56,6 +56,12 @@ class TestVariableCoefficients:
         coarse = kx.fundamental_matrix(sys, rel_tol=1e-7, abs_tol=1e-9)
         fine = kx.fundamental_matrix(sys, rel_tol=1e-12, abs_tol=1e-13)
         assert_allclose(coarse.end(), fine.end(), 1e-6)
+
+    def test_endpoint_solve_against_tight_reference(self):
+        sys = kx.preset_four_coeff("1+x", "1+x^2", 1, 0, (0.0, 1.0))
+        ref = kx.fundamental_matrix(sys, lam=50.0, rel_tol=1e-13, abs_tol=1e-15).end()
+        rel = np.linalg.norm(end_matrix(sys, 50.0) - ref) / np.linalg.norm(ref)
+        assert rel <= 1e-9, rel
 
     def test_convergence_under_refinement(self):
         sys = kx.preset_four_coeff("1+x", 1, 1, 0, (0.0, 1.0))

@@ -7,6 +7,8 @@ import kreinext as kx
 from kreinext.errors import StructureError
 from kreinext.spectral import friedrichs_char_value
 
+BEAM_MU = 4.730040744862704  # first root of cos(mu) cosh(mu) = 1 above zero
+
 
 class TestCharacteristicValue:
     def test_small_at_eigenvalue(self):
@@ -21,6 +23,30 @@ class TestCharacteristicValue:
 
 
 class TestScan:
+    @pytest.mark.parametrize(
+        "build",
+        [kx.preset_fourth_order, lambda: kx.preset_four_coeff(1, 1, 1, 0, (0.0, 1.0), M=2)],
+        ids=["fourth-order", "four-coeff-m2"],
+    )
+    def test_batched_grid_matches_pointwise_values(self, build):
+        sys = build()
+        result = kx.lowest_friedrichs_eigenvalue(sys, lambda_max=100.0)
+        pointwise = [friedrichs_char_value(sys, lam) for lam in result.scan_lambdas.tolist()]
+        assert np.abs(result.scan_sigmas - pointwise).max() <= 1e-12
+
+    def test_dirichlet_eigenvalue_to_rounding(self):
+        result = kx.lowest_friedrichs_eigenvalue(
+            kx.preset_pure(1, (0.0, 1.0)), lambda_max=20.0
+        )
+        assert abs(result.lambda_min - np.pi**2) <= 1e-11
+
+    def test_clamped_beam_eigenvalue_to_rounding(self):
+        # y^(4) + y on [0, L] (clamped ends): mu^4 / L^4 + 1
+        sys = kx.preset_fourth_order()
+        result = kx.lowest_friedrichs_eigenvalue(sys, lambda_max=100.0)
+        expected = BEAM_MU**4 / sys.interval.length**4 + 1.0
+        assert abs(result.lambda_min - expected) <= 1e-11
+
     def test_dirichlet_on_unit_interval(self):
         result = kx.lowest_friedrichs_eigenvalue(
             kx.preset_pure(1, (0.0, 1.0)), lambda_max=20.0
