@@ -134,6 +134,17 @@ def _parse_interval(text: str) -> tuple:
 
 
 def build_system(cfg: JobConfig) -> ShinZettlSystem:
+    """The configured system; a structurally invalid configuration (a bad
+    interval or block size) is a configuration error."""
+    if cfg.block_size < 1:
+        raise ConfigError(f"block_size must be at least 1, got {cfg.block_size}")
+    try:
+        return _system_from_config(cfg)
+    except StructureError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
     interval = cfg.interval
     if cfg.preset == "pure":
         if cfg.order is None or cfg.order % 2 != 0 or cfg.order < 2:
@@ -174,10 +185,7 @@ def build_system(cfg: JobConfig) -> ShinZettlSystem:
             raise ConfigError(f"coefficient key {key!r} out of range")
         entries[j - 1][k - 1] = MatrixFn.scalar(value)
     W = MatrixFn.scalar(cfg.coefficients.get("W", "1"))
-    try:
-        return ShinZettlSystem(M=1, N=N, interval=Interval(*interval), W=W, Z=entries)
-    except StructureError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ShinZettlSystem(M=1, N=N, interval=Interval(*interval), W=W, Z=entries)
 
 
 def _validation_section(report) -> dict:
@@ -357,8 +365,16 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="write the JSON report to this path")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command line that does not parse as a configuration error
+    (exit 3) instead of argparse's usage message and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="krein-ext",
         description="boundary-condition matrices for Krein-von Neumann extensions",
     )
@@ -403,9 +419,8 @@ def config_from_args(args) -> JobConfig:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_arg_parser().parse_args(argv))
         code, report = run(cfg)
     except (ConfigError, ExprSyntaxError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

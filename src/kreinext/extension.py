@@ -1,12 +1,13 @@
 """Boundary-condition matrices for the Krein-von Neumann and Friedrichs
 extensions.
 
-The construction: restrict the endpoint-trace map (first N quasi-derivative
-blocks at each end) to the kernel of the maximal operator, invert it to get
-the distinguished kernel basis, read the higher quasi-derivative blocks of
-that basis off at both endpoints, and assemble the coupled boundary pair
-(A_K, B_K).  The transfer matrix B_K^-1 A_K maps left traces to right
-traces on the Krein domain.
+The Krein data are read off Psi(b; 0) = [[P11, P12], [P21, P22]] in MN x MN
+blocks.  The endpoint-trace map on ker T_max is Lambda = [[I, 0], [P11,
+P12]], and its inverse C = [[I, 0], [-P12^-1 P11, P12^-1]] is the kernel
+basis whose traces are standard basis vectors; P12 is the only matrix ever
+inverted.  The higher blocks of that basis give the pair (A_K, B_K) with
+B_K^-1 = [[P12, 0], [P22, I]], and T_K = B_K^-1 A_K = Psi(b; 0) maps left
+to right traces on the Krein domain, A_K Y(a) = B_K Y(b).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class KernelBasis:
     conditioning: float
     M: int
     N: int
+    T: np.ndarray  # Psi(b; 0), the transfer matrix of the Krein pair
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,7 @@ class BoundaryPair:
     role: str  # 'krein' | 'friedrichs' | 'custom'
     M: int
     N: int
+    T: np.ndarray | None = None  # Psi(b; 0) for the Krein pair
 
     def __post_init__(self):
         n = 2 * self.M * self.N
@@ -80,7 +83,7 @@ class SelfAdjointnessReport:
 
 def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
     """Solve for the kernel basis whose endpoint traces are the standard
-    basis vectors.
+    basis vectors: C = [[I, 0], [-P12^-1 P11, P12^-1]], one MN x MN solve.
 
     Fails with :class:`GammaBijectivityError` when the trace map is
     numerically singular, which signals that the minimal operator is not
@@ -93,12 +96,14 @@ def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
             f"endpoint-trace map condition number {cond:.3e} exceeds "
             f"{COND_CEILING:.0e}; the strict-positivity hypothesis likely fails"
         )
-    C = np.linalg.solve(lam_mat, np.eye(sys.size, dtype=complex))
-    Eb = fm.end() @ C
+    T, half = fm.end(), sys.M * sys.N
+    lower = np.linalg.solve(T[:half, half:], np.hstack([-T[:half, :half], np.eye(half)]))
+    C = np.vstack([np.eye(half, sys.size), lower])
+    Eb = T @ C
     recon = np.linalg.norm(lam_mat @ C - np.eye(sys.size))
     if recon > 1e-8:
         raise NumericalError(f"kernel basis reconstruction residual {recon:.3e}")
-    return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N)
+    return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N, T=T)
 
 
 def phi_blocks(basis: KernelBasis):
@@ -121,26 +126,17 @@ def build_krein_pair(basis: KernelBasis) -> BoundaryPair:
     zero = np.zeros((half, half), dtype=complex)
     A = np.block([[-phi0_a, eye], [phi0_b, zero]])
     B = np.block([[phiN_a, zero], [-phiN_b, eye]])
-    return BoundaryPair(A=A, B=B, role="krein", M=M, N=N)
+    return BoundaryPair(A=A, B=B, role="krein", M=M, N=N, T=basis.T)
 
 
 def invert_B(pair: BoundaryPair) -> np.ndarray:
-    """Invert B via its block-triangular closed form, cross-checked against
-    a dense inverse."""
-    if pair.role != "krein":
+    """B^-1 = [[P12, 0], [P22, I]], read off Psi(b; 0) and cross-checked
+    against a dense inverse."""
+    if pair.role != "krein" or pair.T is None:
         raise StructureError("structured inversion applies to the Krein pair")
     half = pair.M * pair.N
-    phiN_a = pair.B[:half, :half]
-    phiN_b = -pair.B[half:, :half]
-    sigma = np.linalg.svd(phiN_a, compute_uv=False)
-    if sigma.min() < sigma.max() * 1e-12:
-        raise NumericalError(
-            "leading boundary block numerically singular; upstream failure"
-        )
-    phiN_a_inv = np.linalg.inv(phiN_a)
-    eye = np.eye(half, dtype=complex)
-    zero = np.zeros((half, half), dtype=complex)
-    B_inv = np.block([[phiN_a_inv, zero], [phiN_b @ phiN_a_inv, eye]])
+    T, zero = pair.T, np.zeros((half, half))
+    B_inv = np.block([[T[:half, half:], zero], [T[half:, half:], np.eye(half)]])
     dense = np.linalg.inv(pair.B)
     rel = np.linalg.norm(B_inv - dense) / max(1.0, np.linalg.norm(dense))
     if rel > 1e-8:
@@ -217,6 +213,8 @@ def relative_primeness(pairA: BoundaryPair, pairB: BoundaryPair):
             np.hstack([pairB.A, -pairB.B]),
         ]
     )
+    # unit rows leave the nullspace unchanged and undo the scale of the blocks
+    stacked = stacked / np.linalg.norm(stacked, axis=1, keepdims=True).clip(min=1e-300)
     sigma = np.linalg.svd(stacked, compute_uv=False)
     threshold = sigma.max() * 2 * n * np.finfo(float).eps * 64 if sigma.max() > 0 else 0.0
     rank = int(np.sum(sigma > threshold))

@@ -30,7 +30,7 @@ def run_pipeline(sys):
 def test_criterion_1_pure_operator_toeplitz_equivalence():
     """T_K for the pure operator equals the closed-form Toeplitz matrix."""
     start = time.monotonic()
-    for N in (1, 2, 3, 4):
+    for N in (1, 2, 3, 4, 5):
         pipe = run_pipeline(kx.preset_pure(N, (0.0, 1.0)))
         expected = np.array(
             [[float(v) for v in row] for row in exact.toeplitz_TK(N, (0, 1))]
@@ -39,7 +39,7 @@ def test_criterion_1_pure_operator_toeplitz_equivalence():
         assert worst <= 1e-8, f"N={N} deviation {worst:.3e}"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
-    print(f"CRITERION 1 PASS: pure N=1..4 Toeplitz match <=1e-8 in {elapsed:.2f}s")
+    print(f"CRITERION 1 PASS: pure N=1..5 Toeplitz match <=1e-8 in {elapsed:.2f}s")
 
 
 def test_criterion_2_fourth_order_regression():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from kreinext import cli
+from kreinext import cli, exact
 
 from conftest import assert_allclose
 
@@ -81,6 +81,17 @@ class TestComputeCommand:
         positivity = json.loads(out.read_text())["positivity"]
         assert positivity["certified_strictly_positive"] is True
         assert abs(positivity["lambda_min"] - np.pi**2) <= 1e-5
+
+    def test_pure_order_10(self, tmp_path):
+        # T_K = Psi(b; 0) keeps order 10 on its closed form, and the unit-row
+        # rank test sees the Krein and Friedrichs pairs as relatively prime
+        out = tmp_path / "report.json"
+        code = run_cli(["compute", "--preset", "pure", "--order", "10", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["checks"]["relatively_prime"]["common_nullspace_dim"] == 0
+        expected = [[float(v) for v in row] for row in exact.toeplitz_TK(5, (0, 1))]
+        assert_allclose(as_complex(report["matrices"]["T_K"]), expected, 1e-8)
 
 
 class TestVerifyCommand:
@@ -215,8 +226,17 @@ class TestExitCodes:
              ["--lambda-max", "0"]),
             ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
              ["--rel-tol", "0"]),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
+             ["--lambda-max", "abc"]),
+            ("[operator]\npreset = four-coeff\ninterval = 0, 1\n",
+             ["--block-size", "0"]),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
+             ["--interval", "1,0"]),
+            ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
+             ["--interval", "0,inf"]),
         ],
-        ids=["order", "rel_tol", "lambda_max", "rel_tol_range"],
+        ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
+             "block_size_0", "reversed_interval", "infinite_interval"],
     )
     def test_bad_number_is_configuration_error(self, tmp_path, config, option):
         cfg = tmp_path / "job.ini"

@@ -7,7 +7,12 @@ import kreinext as kx
 from kreinext.errors import GammaBijectivityError, StructureError
 from kreinext.extension import lambda_matrix, phi_blocks
 
-from conftest import assert_allclose
+from conftest import Pipeline, assert_allclose
+
+
+@pytest.fixture(scope="module")
+def pure10():
+    return Pipeline(kx.preset_pure(5, (0.0, 1.0)))
 
 
 class TestTraceMap:
@@ -78,9 +83,35 @@ class TestKreinPair:
         n = pipeline.sys.size
         assert_allclose(pipeline.B_inv @ pipeline.krein.B, np.eye(n), 1e-9)
 
+    def test_b_inverse_product_pure_order_10(self, pure10):
+        # criterion 8's bound at an order where cond(Lambda) is ~1e8
+        n = pure10.sys.size
+        assert np.linalg.norm(pure10.B_inv @ pure10.krein.B - np.eye(n)) <= 1e-9
+
     def test_invert_b_requires_krein_role(self, pipeline):
         with pytest.raises(StructureError):
             kx.invert_B(pipeline.friedrichs)
+
+    def test_invert_b_requires_psi(self, pipeline):
+        # a Krein-role pair without Psi(b; 0) has nothing to read B^-1 from
+        krein = pipeline.krein
+        bare = kx.BoundaryPair(A=krein.A, B=krein.B, role="krein", M=krein.M, N=krein.N)
+        with pytest.raises(StructureError):
+            kx.invert_B(bare)
+
+    def test_b_inverse_is_read_off_psi(self, pipeline):
+        # B^-1 = [[P12, 0], [P22, I]] with P the half blocks of Psi(b; 0)
+        half = pipeline.sys.M * pipeline.sys.N
+        psi = pipeline.fm.end()
+        assert (pipeline.B_inv[:half, :half] == psi[:half, half:]).all()
+        assert (pipeline.B_inv[half:, :half] == psi[half:, half:]).all()
+        assert (pipeline.B_inv[:half, half:] == 0).all()
+        assert (pipeline.B_inv[half:, half:] == np.eye(half)).all()
+
+    def test_transfer_matrix_is_psi(self, pipeline):
+        psi = pipeline.fm.end()
+        rel = np.linalg.norm(pipeline.T - psi) / np.linalg.norm(psi)
+        assert rel <= 1e-10, rel
 
     def test_kernel_columns_satisfy_conditions(self, pipeline):
         for col in range(pipeline.sys.size):
@@ -161,6 +192,12 @@ class TestRelativePrimeness:
     def test_krein_vs_itself_full_nullspace(self, pipeline):
         prime, null_dim = kx.relative_primeness(pipeline.krein, pipeline.krein)
         assert not prime and null_dim == pipeline.sys.size
+
+    def test_pure_order_10(self, pure10):
+        # unless their rows are scaled to unit norm, the stacked conditions
+        # have cond ~4e15 at this order, past the relative rank threshold
+        assert kx.relative_primeness(pure10.krein, pure10.friedrichs) == (True, 0)
+        assert kx.relative_primeness(pure10.krein, pure10.krein) == (False, pure10.sys.size)
 
     def test_size_mismatch_rejected(self, pipelines):
         with pytest.raises(StructureError):
