@@ -163,13 +163,6 @@ def matrix_P_inverse(N: int) -> Matrix:
             for j in range(1, N + 1)]
 
 
-def matrix_Q(N: int) -> Matrix:
-    return [
-        [Fraction((-1) ** (j - k) * binom(N - 1 + j - k, j - k)) for k in range(1, N + 1)]
-        for j in range(1, N + 1)
-    ]
-
-
 def matrix_D_inverse(N: int) -> Matrix:
     """Closed-form inverse of the right-endpoint derivative block.
 

@@ -7,10 +7,12 @@ i.e. when the endpoint-trace matrix Lambda(lambda), built from Psi(b;
 lambda) alone, is singular.  The scan reads Psi(b; lambda) through
 ``integration.end_matrix`` and nothing else: for a constant system the
 whole coarse grid is one batched matrix exponential and one batched SVD,
-and for a variable one each point is one endpoint-only DOP853 solve.  Each
-local dip of the minimum singular value is refined by golden-section search
-through the same endpoint function.  A clean scan up to lambda_max
-certifies positivity only up to that bound; the report says so explicitly.
+and for a variable one it is the 6th-order Magnus propagator over the
+whole grid, on coefficients sampled once at Gauss nodes, followed by the
+same batched SVD.  Each local dip of the minimum singular value is refined
+by golden-section search through the same endpoint function.  A clean
+scan up to lambda_max certifies positivity only up to that bound; the
+report says so explicitly.
 """
 
 from __future__ import annotations

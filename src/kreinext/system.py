@@ -18,7 +18,10 @@ system compiles its whole grid Z into one 2MN x 2MN function
 (``ShinZettlSystem.coefficients``).  Everything downstream reads that one
 representation: the validation samples it once at all points, and the
 companion matrix is S(x; lambda) = S0(x) + lambda E(x), with S0 the
-block-lower-Hessenberg part of the grid and E(x) the weight term.
+block-lower-Hessenberg part of the grid and E(x) the weight term.  Both
+parts take an array of points, so one sample of them serves every lambda;
+a system keeps the samples the propagator takes of them (``_samples``)
+for its lifetime.
 """
 
 from __future__ import annotations
@@ -190,6 +193,7 @@ class ShinZettlSystem:
     Z: Sequence[Sequence[MatrixFn]] = field(repr=False)
     _grid: MatrixFn = field(init=False, repr=False, compare=False)
     _above: np.ndarray = field(init=False, repr=False, compare=False)
+    _samples: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
@@ -212,6 +216,8 @@ class ShinZettlSystem:
         object.__setattr__(
             self, "_above", np.kron(blocks, np.ones((self.M, self.M), dtype=bool))
         )
+        # per-mesh coefficient samples of the Magnus propagator (integration.py)
+        object.__setattr__(self, "_samples", {})
 
     @property
     def order(self) -> int:
@@ -315,8 +321,8 @@ def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationR
     return ValidationReport(checks=checks, samples=samples)
 
 
-def companion_matrix(sys: ShinZettlSystem, x: float, lam: complex = 0.0) -> np.ndarray:
-    """First-order companion matrix S(x; lambda) = S0(x) + lambda E(x).
+def companion_parts(sys: ShinZettlSystem, x):
+    """The two parts of the companion matrix S(x; lambda) = S0(x) + lambda E(x).
 
     The stacked quasi-derivative column Y of a solution of the eigenvalue
     equation satisfies Y' = S Y.  S0 is the compiled coefficient grid
@@ -324,18 +330,25 @@ def companion_matrix(sys: ShinZettlSystem, x: float, lam: complex = 0.0) -> np.n
     blocks above the superdiagonal, which A2 requires to vanish, are set to
     zero): block row j carries Z[j][1..j+1].  E(x) holds (-1)^N W(x) in the
     first block column of the last block row, the term replacing the top
-    quasi-derivative.  An array of lambdas gives the stack
-    lam.shape + (2MN, 2MN) at the one point x.
+    quasi-derivative, and is zero elsewhere.  An array of points x gives
+    two stacks of shape x.shape + (2MN, 2MN).
     """
     M = sys.M
-    S = sys.coefficients(x)
-    S[sys._above] = 0
+    S0 = sys.coefficients(x)
+    S0[..., sys._above] = 0
+    E = np.zeros_like(S0)
+    E[..., -M:, :M] = (-1) ** sys.N * sys.W(x)
+    return S0, E
+
+
+def companion_matrix(sys: ShinZettlSystem, x, lam=0.0) -> np.ndarray:
+    """First-order companion matrix S(x; lambda) = S0(x) + lambda E(x), from
+    ``companion_parts``.  An array of points x gives x.shape + (2MN, 2MN);
+    an array of lambdas gives lam.shape + x.shape + (2MN, 2MN)."""
+    S0, E = companion_parts(sys, x)
     if isinstance(lam, np.ndarray):
-        S = np.broadcast_to(S, lam.shape + S.shape).copy()
-        S[..., -M:, :M] += ((-1) ** sys.N * lam)[..., np.newaxis, np.newaxis] * sys.W(x)
-        return S
-    S[-M:, :M] += (-1) ** sys.N * lam * sys.W(x)
-    return S
+        lam = lam.reshape(lam.shape + (1,) * S0.ndim)
+    return S0 + lam * E
 
 
 def preset_pure(N: int, interval) -> ShinZettlSystem:

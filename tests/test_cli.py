@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from kreinext import cli, exact
 
-from conftest import assert_allclose
+from conftest import VARIABLE_OPERATORS, assert_allclose
 
 
 def run_cli(args):
@@ -287,6 +288,33 @@ class TestExitCodes:
             "[tasks]\ntasks = validate krein\n"
         )
         assert run_cli(["compute", "--config", str(cfg)]) == 2
+
+
+class TestVariableCoefficients:
+    @pytest.mark.parametrize("name", ["readme", "four-coeff-seeded", "fourth-order-seeded"])
+    def test_run_is_silent_and_warning_free(self, tmp_path, capfd, name):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(VARIABLE_OPERATORS[name])
+        args = cli.build_arg_parser().parse_args(["compute", "--config", str(cfg)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = cli.run(cli.config_from_args(args))
+        assert code == 0
+        assert report["positivity"]["certified_strictly_positive"]
+        assert capfd.readouterr() == ("", "")
+
+    def test_unconverged_mesh_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
+            "p = 1\nq = 1e6*sin(3000*x)\nr = 1\ns = 0\n"
+        )
+        assert run_cli(["compute", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numerical failure: Magnus mesh not converged at lambda=")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestSerialization:

@@ -5,11 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 import kreinext as kx
-from kreinext.errors import StructureError
-from kreinext.integration import end_matrix, trace_at
+from kreinext import expressions, integration
+from kreinext.errors import IntegrationError, StructureError
+from kreinext.integration import DEFAULT_REL_TOL, end_matrix, trace_at
 from kreinext.system import companion_matrix
 
-from conftest import assert_allclose
+from conftest import VARIABLE_OPERATORS, assert_allclose
+
+
+def relative(actual, expected) -> float:
+    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
 
 
 class TestConstantCoefficientOracle:
@@ -101,3 +106,115 @@ class TestInterface:
         fm = kx.fundamental_matrix(kx.preset_pure(1, (0, 1)))
         with pytest.raises(StructureError):
             trace_at(fm, 0.5, np.zeros(3))
+
+
+class TestMagnus:
+    @pytest.mark.parametrize("lam", [0.0, 50.0, 100.0])
+    @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
+    def test_against_tight_dop853(self, variable_systems, name, lam):
+        sys = variable_systems[name]
+        ref = kx.fundamental_matrix(sys, lam=lam, rel_tol=1e-13, abs_tol=1e-15).end()
+        assert relative(end_matrix(sys, lam), ref) <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
+    def test_lambda_zero_is_the_grid_endpoint(self, variable_systems, name):
+        sys = variable_systems[name]
+        assert_allclose(end_matrix(sys, 0.0), kx.fundamental_matrix(sys).end(), 1e-9)
+
+    def test_batched_stack_matches_scalar_calls(self, variable_systems):
+        sys = variable_systems["fourth-order-seeded"]
+        lams = np.linspace(0.0, 100.0, 11)  # 11 lambdas: two full chunks and a part
+        stack = end_matrix(sys, lams)
+        assert stack.shape == (11, sys.size, sys.size)
+        for lam, psi in zip(lams.tolist(), stack):
+            assert relative(psi, end_matrix(sys, lam)) <= DEFAULT_REL_TOL
+        assert end_matrix(sys, lams[:6].reshape(2, 3)).shape == (2, 3, sys.size, sys.size)
+        assert end_matrix(sys, lams[:0]).shape == (0, sys.size, sys.size)
+
+    def test_coefficients_sampled_once_per_mesh(self, monkeypatch):
+        sys = kx.preset_four_coeff("1+x", "1+x^2", 1, 0, (0.0, 1.0))
+        points = []
+        evaluate = expressions.evaluate
+        monkeypatch.setattr(expressions, "evaluate",
+                            lambda ast, x: points.append(x) or evaluate(ast, x))
+        end_matrix(sys, np.linspace(0.0, 100.0, 9))
+        # two x-dependent entries (1/p and q) at three Gauss nodes per step
+        assert len(points) == 2 * 3 * sum(sys._samples) > 0
+        end_matrix(sys, np.linspace(0.5, 100.5, 9))
+        assert len(points) == 2 * 3 * sum(sys._samples)
+
+    def test_observed_order_is_six(self, variable_systems):
+        sys = variable_systems["readme"]
+        lam = np.array([50.0])
+        ref = integration._magnus_end(sys, lam, 1024)
+        errors = [np.linalg.norm(integration._magnus_end(sys, lam, steps) - ref)
+                  for steps in (8, 16, 32)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(50.0 <= ratio <= 80.0 for ratio in ratios), ratios
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        # lambda_min from a DOP853 scan at rel_tol 1e-13
+        [("readme", 11.15116403045371), ("four-coeff-seeded", 10.941822082459185)],
+    )
+    def test_lowest_eigenvalue_against_tight_scan(self, variable_systems, name, expected):
+        result = kx.lowest_friedrichs_eigenvalue(variable_systems[name], lambda_max=50.0)
+        assert abs(result.lambda_min - expected) <= 1e-9 * expected
+
+    def test_mesh_cap_raises_naming_lambda(self):
+        sys = kx.preset_four_coeff(1, "1e6*sin(3000*x)", 1, 0, (0.0, 1.0))
+        with pytest.raises(IntegrationError, match=r"not converged at lambda=2\.0 "
+                           rf"with {integration.MAGNUS_MAX_STEPS} steps: error estimate"):
+            end_matrix(sys, 2.0)
+
+    @pytest.mark.parametrize("variable", [True, False], ids=["magnus", "expm"])
+    def test_non_finite_raises_naming_lambda(self, variable):
+        p = "1+x" if variable else 1
+        sys = kx.preset_four_coeff(p, 1, 1, 0, (0.0, 1.0))
+        with pytest.raises(IntegrationError, match=r"non-finite .* lambda=-10000000000\.0 "):
+            end_matrix(sys, np.array([1.0, -1e10]))
+
+
+class TestExpm:
+    def assert_matches_scipy(self, stack):
+        got = integration.expm(stack)
+        assert got.shape == stack.shape
+        for matrix, value in zip(stack, got):
+            assert relative(value, expm(matrix)) <= 1e-13
+
+    def test_random_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((30, 6, 6)) + 1j * rng.standard_normal((30, 6, 6))
+        norms = np.logspace(-3, 1, 30)
+        stack *= (norms / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+        self.assert_matches_scipy(stack)
+
+    def test_only_some_matrices_need_squaring(self):
+        base = np.random.default_rng(6).standard_normal((4, 4))
+        base /= np.abs(base).sum(axis=0).max()
+        # 1-norms on both sides of the Pade-13 bound: 0, 0, 1 and 2 squarings
+        stack = np.stack([base * c for c in (0.1, 3.0, 8.0, 12.0)])
+        self.assert_matches_scipy(stack)
+        for matrix, value in zip(stack, integration.expm(stack)):
+            assert np.array_equal(value, integration.expm(matrix))
+
+    @pytest.mark.parametrize("build", [lambda: kx.preset_pure(5, (0.0, 1.0)),
+                                       kx.preset_fourth_order],
+                             ids=["pure-10", "fourth-order"])
+    def test_companion_exponential(self, build):
+        sys = build()
+        S = companion_matrix(sys, sys.interval.a) * sys.interval.length
+        self.assert_matches_scipy(S[np.newaxis])
+        assert relative(integration.expm(S), expm(S)) <= 1e-13
+
+    def test_nilpotent_exponential_has_unit_diagonal(self):
+        # pure order 10: S h is nilpotent, so every grid step is exact on the diagonal
+        sys = kx.preset_pure(5, (0.0, 1.0))
+        step = integration.expm(companion_matrix(sys, 0.0) / 64)
+        assert np.array_equal(np.diag(step), np.ones(sys.size))
+
+    def test_real_input_stays_real_and_non_finite_gives_nan(self):
+        assert integration.expm(np.zeros((2, 2))).dtype == np.float64
+        out = integration.expm(np.array([[[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 2))]))
+        assert np.isnan(out[0]).all()
+        assert_allclose(out[1], np.eye(2), 1e-15)

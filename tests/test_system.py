@@ -250,6 +250,17 @@ class TestCompanionMatrix:
         expected[3, 0] = -1.0 + 2.0  # Z entry plus (-1)^N lambda W
         assert_allclose(S, expected, 1e-15)
 
+    def test_arrays_of_points_and_lambdas_stack_scalar_calls(self):
+        # an x-dependent M = 2 grid with a non-trivial weight
+        sys = kx.preset_four_coeff(1, "1+x", "2+x^2", "x", (0, 1), M=2)
+        xs = np.array([[0.0, 0.3], [0.6, 1.0]])
+        lams = np.array([-1.0, 0.0, 2.5])
+        S = kx.companion_matrix(sys, xs, lams)
+        assert S.shape == (3, 2, 2, 4, 4)
+        for i, lam in enumerate(lams.tolist()):
+            for j, k in np.ndindex(xs.shape):
+                assert np.array_equal(S[i, j, k], kx.companion_matrix(sys, xs[j, k], lam))
+
 
 class TestChebyshevPoints:
     def test_endpoints_included(self):
