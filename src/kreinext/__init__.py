@@ -15,14 +15,13 @@ from .system import (
     MatrixFn,
     ShinZettlSystem,
     block_j_matrix,
-    build_J,
     companion_matrix,
     preset_four_coeff,
     preset_fourth_order,
     preset_pure,
     validate_hypothesis,
 )
-from .integration import FundamentalMatrix, fundamental_matrix, trace_at
+from .integration import FundamentalMatrix, fundamental_matrix
 from .brackets import SolutionTraces, check_bracket_constancy, lagrange_bracket
 from .extension import (
     BoundaryPair,
@@ -30,7 +29,6 @@ from .extension import (
     SelfAdjointnessReport,
     build_krein_pair,
     friedrichs_pair,
-    gamma_map,
     invert_B,
     kernel_basis,
     lambda_matrix,

@@ -19,17 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .integration import FundamentalMatrix, trace_at
+from .integration import FundamentalMatrix
 from .system import block_j_matrix
 
 
 @dataclass(frozen=True)
 class SolutionTraces:
-    """Traces of a scalar (width 1) or matrix (width M) solution.
-
-    Stores the trace blocks on the integration grid and keeps the
-    underlying fundamental matrix for off-grid evaluation.
-    """
+    """Traces of a scalar (width 1) or matrix (width M) solution, stored on
+    the grid of its fundamental matrix."""
 
     fm: FundamentalMatrix
     initial: np.ndarray  # (2MN, width)
@@ -49,31 +46,21 @@ class SolutionTraces:
     def grid(self) -> np.ndarray:
         return self.fm.grid
 
-    @property
-    def width(self) -> int:
-        return self.initial.shape[1]
 
-    def at(self, x: float) -> np.ndarray:
-        return trace_at(self.fm, x, self.initial)
-
-
-def _bracket_form(f: SolutionTraces) -> np.ndarray:
-    """K = (-1)^(N+1) J for the system of ``f``."""
+def lagrange_bracket(f: SolutionTraces, g: SolutionTraces) -> np.ndarray:
+    """The bracket [f, g] at every grid point, shape (points, width of g,
+    width of f); scalar solutions give 1x1 blocks."""
     sys = f.fm.sys
-    return (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
-
-
-def lagrange_bracket(f: SolutionTraces, g: SolutionTraces, x: float) -> np.ndarray:
-    """The bracket [f, g] evaluated at x; scalar solutions give a 1x1 result."""
-    if f.fm.sys.size != g.fm.sys.size or f.fm.sys.M != g.fm.sys.M:
+    if sys.size != g.fm.sys.size or sys.M != g.fm.sys.M:
         raise StructureError("operand traces have mismatched dimensions")
-    return g.at(x).conj().T @ _bracket_form(f) @ f.at(x)
+    if not np.allclose(f.grid, g.grid):
+        raise StructureError("operand traces have mismatched grids")
+    K = (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
+    return np.einsum("tki,kl,tlj->tij", g.values.conj(), K, f.values)
 
 
 def check_bracket_constancy(f: SolutionTraces, g: SolutionTraces) -> float:
     """Max Frobenius deviation of [f, g](x) from its value at the left end,
     over the stored grid.  Near zero for kernel solutions."""
-    if not np.allclose(f.grid, g.grid):
-        raise StructureError("operand traces have mismatched grids")
-    brackets = np.einsum("tki,kl,tlj->tij", g.values.conj(), _bracket_form(f), f.values)
+    brackets = lagrange_bracket(f, g)
     return float(np.linalg.norm(brackets - brackets[0], axis=(1, 2)).max())

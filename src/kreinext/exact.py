@@ -237,33 +237,6 @@ def lambda_inverse(N: int) -> Matrix:
 
 
 @dataclass(frozen=True)
-class PolyBasis:
-    """The 2N boundary-interpolation polynomials on [0, 1].
-
-    ``coeffs[l][k]`` is the coefficient of x^l in the (k+1)-th polynomial;
-    the j-th derivative at 0 and 1 hits the standard basis pattern exactly.
-    """
-
-    N: int
-    coeffs: Matrix  # 2N x 2N, column k = polynomial k+1
-
-    def derivative_at(self, k: int, order: int, x: Fraction) -> Fraction:
-        """Exact order-th derivative of polynomial k (1-based) at x."""
-        total = Fraction(0)
-        for ell in range(order, 2 * self.N):
-            c = self.coeffs[ell][k - 1]
-            if c == 0:
-                continue
-            fall = Fraction(factorial(ell), factorial(ell - order))
-            total += c * fall * x ** (ell - order)
-        return total
-
-
-def basis_polynomials(N: int) -> PolyBasis:
-    return PolyBasis(N=N, coeffs=lambda_inverse(N))
-
-
-@dataclass(frozen=True)
 class ScaledBasis:
     """The boundary basis carried to [a, b] by shift and scale.
 
@@ -297,6 +270,12 @@ def _interval_data(interval):
 
 def _rounded(X: Matrix, floating: bool) -> list:
     return [[float(v) for v in row] for row in X] if floating else X
+
+
+def basis_polynomials(N: int) -> ScaledBasis:
+    """The 2N boundary-interpolation polynomials on [0, 1]: the j-th
+    derivative at 0 and 1 hits the standard basis pattern exactly."""
+    return _scale_basis(N, lambda_inverse(N), (0, 1))
 
 
 def phi_on_interval(N: int, interval) -> ScaledBasis:

@@ -4,10 +4,12 @@ extensions.
 The Krein data are read off Psi(b; 0) = [[P11, P12], [P21, P22]] in MN x MN
 blocks.  The endpoint-trace map on ker T_max is Lambda = [[I, 0], [P11,
 P12]], and its inverse C = [[I, 0], [-P12^-1 P11, P12^-1]] is the kernel
-basis whose traces are standard basis vectors; P12 is the only matrix ever
-inverted.  The higher blocks of that basis give the pair (A_K, B_K) with
-B_K^-1 = [[P12, 0], [P22, I]], and T_K = B_K^-1 A_K = Psi(b; 0) maps left
-to right traces on the Krein domain, A_K Y(a) = B_K Y(b).
+basis whose traces are standard basis vectors.  The higher blocks of that
+basis give the pair (A_K, B_K) with B_K^-1 = [[P12, 0], [P22, I]], and
+T_K = B_K^-1 A_K = Psi(b; 0) maps left to right traces on the Krein
+domain, A_K Y(a) = B_K Y(b).  The construction itself solves only with
+P12; ``invert_B`` cross-checks the structured B_K^-1 against a dense
+inverse of B_K.
 """
 
 from __future__ import annotations
@@ -21,16 +23,6 @@ from .integration import FundamentalMatrix
 from .system import ShinZettlSystem, block_j_matrix
 
 COND_CEILING = 1e12
-
-
-def gamma_map(Ya: np.ndarray, Yb: np.ndarray) -> np.ndarray:
-    """Endpoint-trace map: top halves of the two trace vectors, stacked."""
-    Ya = np.asarray(Ya, dtype=complex)
-    Yb = np.asarray(Yb, dtype=complex)
-    if Ya.shape != Yb.shape or Ya.shape[0] % 2 != 0:
-        raise StructureError("trace vectors must share an even length")
-    half = Ya.shape[0] // 2
-    return np.concatenate([Ya[:half], Yb[:half]], axis=0)
 
 
 def lambda_matrix(psi_b) -> np.ndarray:

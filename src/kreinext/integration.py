@@ -17,14 +17,16 @@ Three propagators, chosen by the system and by what is asked for:
 - variable coefficients, the grid of Psi (``fundamental_matrix``, which
   the kernel basis and the bracket checks read, at one lambda): the
   8th-order Dormand-Prince pair DOP853 (via scipy's ``solve_ivp``) under
-  local error control at the requested tolerances, all columns at once,
-  with dense output.
+  local error control at the requested tolerances, all columns at once.
+
+A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
+spaced points and nowhere else: the kernel basis and the boundary pair
+read Psi(b), and the bracket checks read the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -56,24 +58,12 @@ _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 @dataclass(frozen=True)
 class FundamentalMatrix:
     sys: ShinZettlSystem
-    lam: complex
     grid: np.ndarray
     values: np.ndarray  # shape (len(grid), n, n)
-    rel_tol: float
-    abs_tol: float
-    _psi: Callable = field(repr=False)  # x in [a, b] -> Psi(x)
 
     @property
     def n(self) -> int:
         return self.sys.size
-
-    def at(self, x: float) -> np.ndarray:
-        """The fundamental matrix at x: the exponential for a constant
-        system, dense output otherwise."""
-        a, b = self.sys.interval.a, self.sys.interval.b
-        if not (a - 1e-12 <= x <= b + 1e-12):
-            raise StructureError(f"x={x} outside [{a}, {b}]")
-        return self._psi(min(max(x, a), b))
 
     def end(self) -> np.ndarray:
         """The fundamental matrix at the right endpoint."""
@@ -253,10 +243,6 @@ def fundamental_matrix(
         for k in range(1, len(grid) - 1):
             values[k] = values[k - 1] @ step
         values[-1] = expm(S * sys.interval.length)
-
-        def psi(x):
-            return expm(S * (x - a))
-
     else:
         def rhs(x, u):
             return (companion_matrix(sys, x, lam) @ u.reshape(n, n)).ravel()
@@ -267,7 +253,6 @@ def fundamental_matrix(
             np.eye(n, dtype=complex).ravel(),
             method="DOP853",
             t_eval=grid,
-            dense_output=True,
             rtol=rel_tol,
             atol=abs_tol,
         )
@@ -277,10 +262,6 @@ def fundamental_matrix(
             )
         values = sol.y.T.reshape(len(grid), n, n).copy()
         values[0] = np.eye(n)  # initial condition is exact by construction
-        dense = sol.sol
-
-        def psi(x):
-            return dense(x).reshape(n, n)
 
     _check_finite(values)
     sign, logdet = np.linalg.slogdet(values)
@@ -289,24 +270,4 @@ def fundamental_matrix(
         raise IntegrationError(
             f"fundamental matrix singular at grid point x={grid[np.argmax(singular)]}"
         )
-    return FundamentalMatrix(
-        sys=sys,
-        lam=lam,
-        grid=grid,
-        values=values,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        _psi=psi,
-    )
-
-
-def trace_at(fm: FundamentalMatrix, x: float, initial: np.ndarray) -> np.ndarray:
-    """Propagate an initial trace vector (or trace block) to x."""
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape[0] != fm.n:
-        raise StructureError(
-            f"initial trace must have leading dimension {fm.n}, got {initial.shape}"
-        )
-    if abs(x - fm.sys.interval.a) == 0:
-        return initial.copy()
-    return fm.at(x) @ initial
+    return FundamentalMatrix(sys=sys, grid=grid, values=values)

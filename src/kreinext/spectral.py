@@ -39,7 +39,6 @@ class SpectralScanResult:
     scan_sigmas: np.ndarray
     scan_bound: float
     certified_strictly_positive: bool
-    margin: float = POSITIVITY_MARGIN
 
 
 def friedrichs_char_value(

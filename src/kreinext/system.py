@@ -51,9 +51,6 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    def contains(self, x: float) -> bool:
-        return self.a <= x <= self.b
-
 
 class MatrixFn:
     """A rows x cols matrix-valued function of x, compiled once when built.
@@ -177,13 +174,6 @@ def block_j_matrix(M: int, n: int) -> np.ndarray:
     return out
 
 
-def build_J(M: int, n: int) -> np.ndarray:
-    """Full-size boundary-form matrix; ``n`` must be even (n = 2N)."""
-    if n % 2 != 0:
-        raise StructureError("full-size J requires an even order")
-    return block_j_matrix(M, n)
-
-
 @dataclass(frozen=True)
 class ShinZettlSystem:
     M: int
@@ -301,7 +291,7 @@ def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationR
     xs = chebyshev_points(sys.interval.a, sys.interval.b, samples)
     big = sys.coefficients(xs)
     Z = big.reshape(samples, n, M, n, M).swapaxes(2, 3)  # Z[:, j, k]: block (j+1, k+1)
-    J = build_J(M, n)
+    J = block_j_matrix(M, n)
 
     sup = np.arange(n - 1)
     above = np.triu_indices(n, 2)

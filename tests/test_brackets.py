@@ -31,15 +31,13 @@ class TestConstancy:
         assert check_bracket_constancy(cols[0], cols[2]) <= 1e-8
 
     def test_constancy_matches_scalar_bracket(self, pipelines):
-        # the grid-wide check agrees with the public pointwise bracket
+        # the grid-wide check agrees with the public bracket, point by point
         pipe = pipelines["fourth-order"]
         cols = kernel_columns(pipe)
-        a = pipe.fm.grid[0]
         for f, g in itertools.product(cols, cols):
-            scalar = max(
-                np.linalg.norm(lagrange_bracket(f, g, x) - lagrange_bracket(f, g, a))
-                for x in pipe.fm.grid
-            )
+            brackets = lagrange_bracket(f, g)
+            assert brackets.shape == (len(pipe.fm.grid), 1, 1)
+            scalar = max(np.linalg.norm(bracket - brackets[0]) for bracket in brackets)
             assert abs(check_bracket_constancy(f, g) - scalar) <= 1e-12
 
     def test_non_kernel_pair_varies(self):
@@ -60,19 +58,18 @@ class TestAlgebra:
         fu = SolutionTraces(pipe.fm, u)
         fv = SolutionTraces(pipe.fm, v)
         gw = SolutionTraces(pipe.fm, w)
-        x = 0.9
-        # linear in the first slot
+        # linear in the first slot, at every grid point
         assert_allclose(
-            lagrange_bracket(f, gw, x),
-            al * lagrange_bracket(fu, gw, x) + be * lagrange_bracket(fv, gw, x),
+            lagrange_bracket(f, gw),
+            al * lagrange_bracket(fu, gw) + be * lagrange_bracket(fv, gw),
             1e-9,
         )
         # conjugate-linear in the second slot
         g = SolutionTraces(pipe.fm, al * u + be * v)
         assert_allclose(
-            lagrange_bracket(gw, g, x),
-            np.conj(al) * lagrange_bracket(gw, fu, x)
-            + np.conj(be) * lagrange_bracket(gw, fv, x),
+            lagrange_bracket(gw, g),
+            np.conj(al) * lagrange_bracket(gw, fu)
+            + np.conj(be) * lagrange_bracket(gw, fv),
             1e-9,
         )
 
@@ -85,16 +82,14 @@ class TestAlgebra:
         G0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         F = SolutionTraces(pipe.fm, F0)
         G = SolutionTraces(pipe.fm, G0)
-        x = 2.0
-        block = lagrange_bracket(F, G, x)
+        block = lagrange_bracket(F, G)
         for j in range(2):
             for k in range(2):
                 scalar = lagrange_bracket(
                     SolutionTraces(pipe.fm, F0[:, [k]]),
                     SolutionTraces(pipe.fm, G0[:, [j]]),
-                    x,
                 )
-                assert abs(block[j, k] - scalar[0, 0]) < 1e-9
+                assert np.abs(block[:, j, k] - scalar[:, 0, 0]).max() < 1e-9
 
     def test_second_order_explicit_wronskian(self):
         # for the second-order pure expression the bracket is the Wronskian
@@ -103,11 +98,12 @@ class TestAlgebra:
         fm = kx.fundamental_matrix(sys)
         f = SolutionTraces(fm, np.array([1.0, 2.0]))
         g = SolutionTraces(fm, np.array([0.5, -1.0]))
-        for x in (0.0, 0.5, 1.0):
-            fx, fpx = f.at(x)[:, 0]
-            gx, gpx = g.at(x)[:, 0]
+        brackets = lagrange_bracket(f, g)
+        for k in (0, 32, 64):  # x = 0, 0.5, 1
+            fx, fpx = f.values[k][:, 0]
+            gx, gpx = g.values[k][:, 0]
             expected = np.conj(gpx) * fx - np.conj(gx) * fpx
-            assert abs(lagrange_bracket(f, g, x)[0, 0] - expected) < 1e-10
+            assert abs(brackets[k, 0, 0] - expected) < 1e-10
 
 
 class TestInterface:
@@ -122,7 +118,7 @@ class TestInterface:
         f = SolutionTraces(fm2, np.array([1.0, 0.0]))
         g = SolutionTraces(fm4, np.zeros(4))
         with pytest.raises(StructureError):
-            lagrange_bracket(f, g, 0.5)
+            lagrange_bracket(f, g)
 
     def test_mismatched_grids_rejected(self):
         f = SolutionTraces(

@@ -317,6 +317,33 @@ class TestVariableCoefficients:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+
+class TestFalsePositivityCertificates:
+    """Operators whose lowest Friedrichs eigenvalue lies below 0.  The scan
+    starts at lambda = 0, so each is certified strictly positive with the
+    next eigenvalue as lambda_min (19.478, 19.478, 19.69 and 29.95); a
+    positivity certificate that looks below 0 turns these tests into
+    passes."""
+
+    @pytest.mark.xfail(strict=True, reason="the scan never looks below lambda = 0")
+    @pytest.mark.parametrize(
+        "block_size, q",
+        # true lambda_1: pi^2 - 20 = -10.13 (a double one for M = 2);
+        # finite differences give -3.75 and -1.83 for the variable ones
+        [(1, "-20"), (2, "-20"), (1, "100*sin(20*x)"), (1, "-30+40*x")],
+        ids=["shifted-dirichlet", "shifted-dirichlet-m2", "oscillating-q", "linear-q"],
+    )
+    def test_negative_lowest_eigenvalue_is_not_certified(self, tmp_path, block_size, q):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(
+            "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
+            f"block_size = {block_size}\np = 1\nq = {q}\nr = 1\ns = 0\n"
+        )
+        args = cli.build_arg_parser().parse_args(["verify", "--config", str(cfg)])
+        _, report = cli.run(cli.config_from_args(args))
+        assert not report["positivity"]["certified_strictly_positive"]
+        assert report["matrices"]["role"] == "candidate"
+
 class TestSerialization:
     def test_complex_and_fraction_coding(self):
         from fractions import Fraction

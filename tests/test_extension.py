@@ -16,15 +16,6 @@ def pure10():
 
 
 class TestTraceMap:
-    def test_gamma_map_stacks_top_halves(self):
-        Ya = np.arange(4.0).reshape(4, 1)
-        Yb = np.arange(10.0, 14.0).reshape(4, 1)
-        assert_allclose(kx.gamma_map(Ya, Yb), [[0], [1], [10], [11]], 0)
-
-    def test_gamma_map_rejects_odd_length(self):
-        with pytest.raises(StructureError):
-            kx.gamma_map(np.zeros(3), np.zeros(3))
-
     def test_lambda_matrix_four_coeff(self, pipelines):
         pipe = pipelines["four-coeff"]
         c, s = np.cosh(1.0), np.sinh(1.0)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import kreinext as kx
 from kreinext import expressions, integration
 from kreinext.errors import IntegrationError, StructureError
-from kreinext.integration import DEFAULT_REL_TOL, end_matrix, trace_at
+from kreinext.integration import DEFAULT_REL_TOL, end_matrix
 from kreinext.system import companion_matrix
 
 from conftest import VARIABLE_OPERATORS, assert_allclose
@@ -20,8 +21,9 @@ def relative(actual, expected) -> float:
 class TestConstantCoefficientOracle:
     def test_pure_second_order_is_shear(self):
         fm = kx.fundamental_matrix(kx.preset_pure(1, (0, 1)))
-        for x in (0.0, 0.25, 1.0):
-            assert_allclose(fm.at(x), [[1, x], [0, 1]], 1e-10)
+        for k, x in ((0, 0.0), (16, 0.25), (64, 1.0)):
+            assert fm.grid[k] == x
+            assert_allclose(fm.values[k], [[1, x], [0, 1]], 1e-10)
 
     def test_four_coeff_endpoint_is_hyperbolic_rotation(self):
         sys = kx.preset_four_coeff(1, 1, 1, 0, (0.0, 1.0))
@@ -34,8 +36,8 @@ class TestConstantCoefficientOracle:
         pipe = pipelines[name]
         S = companion_matrix(pipe.sys, pipe.sys.interval.a, 0.0)
         a = pipe.sys.interval.a
-        for x in np.linspace(a, pipe.sys.interval.b, 7):
-            assert_allclose(pipe.fm.at(x), expm(S * (x - a)), 1e-8)
+        for x, value in zip(pipe.fm.grid, pipe.fm.values):
+            assert_allclose(value, expm(S * (x - a)), 1e-8)
 
     def test_spectral_parameter_enters_rhs(self):
         sys = kx.preset_pure(1, (0, np.pi))
@@ -48,11 +50,10 @@ class TestCocycleProperty:
     def test_restarting_midway_composes(self):
         sys = kx.preset_fourth_order()
         fm = kx.fundamental_matrix(sys)
-        a, b = sys.interval.a, sys.interval.b
-        mid = (a + b) / 2
-        right = kx.preset_fourth_order((mid, b))
+        mid = fm.grid[32]
+        right = kx.preset_fourth_order((mid, sys.interval.b))
         fm_right = kx.fundamental_matrix(right)
-        assert_allclose(fm.end(), fm_right.end() @ fm.at(mid), 1e-7)
+        assert_allclose(fm.end(), fm_right.end() @ fm.values[32], 1e-7)
 
 
 class TestVariableCoefficients:
@@ -83,14 +84,15 @@ class TestInterface:
         assert np.array_equal(pipeline.fm.values[0], np.eye(pipeline.fm.n))
 
     def test_grid_values_match_dense_output(self, pipeline):
-        for k in (1, len(pipeline.fm.grid) // 2, -1):
-            assert_allclose(
-                pipeline.fm.values[k], pipeline.fm.at(pipeline.fm.grid[k]), 1e-9
-            )
-
-    def test_out_of_interval_rejected(self, pipeline):
-        with pytest.raises(StructureError):
-            pipeline.fm.at(pipeline.sys.interval.b + 1.0)
+        # oracle: the dense output of a separate tight DOP853 solve
+        sys, fm, n = pipeline.sys, pipeline.fm, pipeline.fm.n
+        sol = solve_ivp(
+            lambda x, u: (companion_matrix(sys, x, 0.0) @ u.reshape(n, n)).ravel(),
+            (sys.interval.a, sys.interval.b), np.eye(n, dtype=complex).ravel(),
+            method="DOP853", dense_output=True, rtol=1e-12, atol=1e-14,
+        )
+        for k in (1, 32, 64):
+            assert_allclose(fm.values[k], sol.sol(fm.grid[k]).reshape(n, n), 1e-9)
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(StructureError):
@@ -99,13 +101,13 @@ class TestInterface:
     def test_trace_propagation(self):
         sys = kx.preset_pure(1, (0, 1))
         fm = kx.fundamental_matrix(sys)
-        y = trace_at(fm, 0.5, np.array([2.0, 3.0]))
-        assert_allclose(y, [2.0 + 0.5 * 3.0, 3.0], 1e-10)
+        y = kx.SolutionTraces(fm, np.array([2.0, 3.0])).values[32]  # x = 0.5
+        assert_allclose(y[:, 0], [2.0 + 0.5 * 3.0, 3.0], 1e-10)
 
     def test_trace_shape_checked(self):
         fm = kx.fundamental_matrix(kx.preset_pure(1, (0, 1)))
         with pytest.raises(StructureError):
-            trace_at(fm, 0.5, np.zeros(3))
+            kx.SolutionTraces(fm, np.zeros(3))
 
 
 class TestMagnus:

@@ -71,10 +71,10 @@ class TestMatrixFn:
 
 class TestJMatrix:
     def test_order_two(self):
-        assert_allclose(kx.build_J(1, 2), [[0, -1], [1, 0]], 0)
+        assert_allclose(kx.block_j_matrix(1, 2), [[0, -1], [1, 0]], 0)
 
     def test_block_antidiagonal_signs(self):
-        J = kx.build_J(2, 4)
+        J = kx.block_j_matrix(2, 4)
         expected = np.zeros((8, 8))
         for j in range(1, 5):
             expected[(j - 1) * 2 : j * 2, (4 - j) * 2 : (5 - j) * 2] = (
@@ -83,12 +83,8 @@ class TestJMatrix:
         assert_allclose(J, expected, 0)
 
     def test_involution_up_to_sign(self):
-        J = kx.build_J(1, 4)
+        J = kx.block_j_matrix(1, 4)
         assert_allclose(J @ J, -np.eye(4), 0)
-
-    def test_full_size_requires_even_order(self):
-        with pytest.raises(StructureError):
-            kx.build_J(1, 3)
 
 
 class TestPresets:
@@ -184,7 +180,7 @@ class TestValidation:
             Z=[[block(j, k) for k in range(4)] for j in range(4)],
         )
         report = kx.validate_hypothesis(sys, samples=17)
-        J = kx.build_J(2, 4)
+        J = kx.block_j_matrix(2, 4)
 
         def min_eig(mat):
             return np.linalg.eigvalsh((mat + mat.conj().T) / 2).min()
