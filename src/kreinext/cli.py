@@ -6,7 +6,7 @@ numbers are serialized as two-element [re, im] arrays and matrices as
 row-major nested arrays.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 configuration error.
+3 configuration error (also a bad order or interval, and an unread key).
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ from .system import (
 
 KNOWN_TASKS = ("validate", "krein", "friedrichs", "spectrum", "closed-form", "verify-all")
 DEFAULT_LAMBDA_MAX = 100.0
+# the keys of each config section; the coefficient keys follow the operator
+SECTION_KEYS = {"operator": ("preset", "order", "block_size", "interval"),
+                "tolerances": ("rel_tol", "abs_tol", "lambda_max"), "tasks": ("tasks",)}
+# the coefficient keys each preset reads; an explicit operator reads W and Z.j.k
+PRESET_KEYS = {"pure": (), "fourth-order": (), "four-coeff": ("p", "q", "r", "s")}
 
 
 class ConfigError(KreinExtError):
@@ -92,6 +97,12 @@ def load_config_file(path: str) -> JobConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = JobConfig()
+    for name in parser.sections():
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in parser[name]:
+            if name != "operator" and key not in SECTION_KEYS[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
     if parser.has_section("operator"):
         op = parser["operator"]
         cfg.preset = op.get("preset", None)
@@ -102,12 +113,12 @@ def load_config_file(path: str) -> JobConfig:
         if "interval" in op:
             cfg.interval = _parse_interval(op["interval"])
         for key, value in op.items():
-            if key in ("preset", "order", "block_size", "interval"):
+            if key in SECTION_KEYS["operator"]:
                 continue
             cfg.coefficients[key] = value
     if parser.has_section("tolerances"):
         tol = parser["tolerances"]
-        for key in ("rel_tol", "abs_tol", "lambda_max"):
+        for key in SECTION_KEYS["tolerances"]:
             if key in tol:
                 setattr(cfg, key, _parse_number(tol, key, float))
     if parser.has_section("tasks"):
@@ -124,13 +135,25 @@ def _parse_number(section, key: str, kind):
 
 
 def _parse_interval(text: str) -> tuple:
+    """The endpoints of 'a,b', checked as an ``Interval``."""
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ConfigError(f"interval must be 'a,b', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        a, b = float(parts[0]), float(parts[1])
+        Interval(a, b)
     except ValueError as exc:
         raise ConfigError(f"bad interval {text!r}") from exc
+    except StructureError as exc:
+        raise ConfigError(str(exc)) from exc
+    return a, b
+
+
+def _half_order(order, what: str) -> int:
+    """N of an even order 2N >= 2."""
+    if order is None or order % 2 != 0 or order < 2:
+        raise ConfigError(f"{what} requires an even order >= 2, got {order}")
+    return order // 2
 
 
 def build_system(cfg: JobConfig) -> ShinZettlSystem:
@@ -146,10 +169,14 @@ def build_system(cfg: JobConfig) -> ShinZettlSystem:
 
 def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
     interval = cfg.interval
+    if cfg.preset is not None and cfg.preset not in PRESET_KEYS:
+        raise ConfigError(f"unknown preset {cfg.preset!r}")
+    for key in cfg.coefficients:
+        if (key not in PRESET_KEYS[cfg.preset] if cfg.preset
+                else key != "W" and not key.startswith("Z.")):
+            raise ConfigError(f"the {cfg.preset or 'explicit'} operator reads no key {key!r}")
     if cfg.preset == "pure":
-        if cfg.order is None or cfg.order % 2 != 0 or cfg.order < 2:
-            raise ConfigError("pure preset requires an even --order >= 2")
-        return preset_pure(cfg.order // 2, interval or (0.0, 1.0))
+        return preset_pure(_half_order(cfg.order, "pure preset"), interval or (0.0, 1.0))
     if cfg.preset == "fourth-order":
         return preset_fourth_order(interval)
     if cfg.preset == "four-coeff":
@@ -160,21 +187,17 @@ def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
         return preset_four_coeff(
             coeff["p"], coeff["q"], coeff["r"], coeff["s"], interval, M=cfg.block_size
         )
-    if cfg.preset is not None:
-        raise ConfigError(f"unknown preset {cfg.preset!r}")
 
     # explicit operator: scalar entries Z.j.k and W (block size 1)
     if cfg.block_size != 1:
         raise ConfigError("explicit operators support block_size 1 only; use a preset")
-    if cfg.order is None or cfg.order % 2 != 0 or cfg.order < 2:
-        raise ConfigError("explicit operator requires an even order >= 2")
+    N = _half_order(cfg.order, "explicit operator")
     if interval is None:
         raise ConfigError("explicit operator requires an interval")
-    n = cfg.order
-    N = n // 2
+    n = 2 * N
     entries = [[MatrixFn.scalar(0.0)] * n for _ in range(n)]
     for key, value in cfg.coefficients.items():
-        if not key.startswith("Z."):
+        if key == "W":
             continue
         try:
             _, j, k = key.split(".")
@@ -220,9 +243,7 @@ def run(cfg: JobConfig):
 
     closed_form_only = set(cfg.tasks) == {"closed-form"}
     if "closed-form" in cfg.tasks:
-        if cfg.order is None or cfg.order % 2 != 0:
-            raise ConfigError("closed-form task requires an even order")
-        N = cfg.order // 2
+        N = _half_order(cfg.order, "closed-form task")
         # decimal endpoints are treated as exact rationals here
         interval = tuple(Fraction(str(v)) for v in (cfg.interval or (0, 1)))
         ok = exact.verify_factorization(N, interval)
@@ -301,33 +322,22 @@ def run(cfg: JobConfig):
     checks = {}
     sa_k = extension.verify_self_adjoint(krein)
     sa_f = extension.verify_self_adjoint(fried)
-    checks["krein_self_adjoint"] = {
-        "rank_AB": sa_k.rank_AB,
-        "symplectic_defect": sa_k.symplectic_defect,
-        "verdict": sa_k.verdict,
-    }
-    checks["friedrichs_self_adjoint"] = {
-        "rank_AB": sa_f.rank_AB,
-        "symplectic_defect": sa_f.symplectic_defect,
-        "verdict": sa_f.verdict,
-    }
+    for name, sa in (("krein_self_adjoint", sa_k), ("friedrichs_self_adjoint", sa_f)):
+        checks[name] = {"rank_AB": sa.rank_AB, "symplectic_defect": sa.symplectic_defect,
+                        "verdict": sa.verdict}
     prime, null_dim = extension.relative_primeness(krein, fried)
     checks["relatively_prime"] = {"verdict": prime, "common_nullspace_dim": null_dim}
 
     if "verify-all" in cfg.tasks:
         n = sys_.size
-        recon = float(np.linalg.norm(
-            extension.lambda_matrix(fm) @ basis.C - np.eye(n)))
-        checks["gamma_reconstruction_residual"] = recon
+        checks["gamma_reconstruction_residual"] = basis.residual
         checks["b_inverse_product_residual"] = float(
             np.linalg.norm(B_inv @ krein.B - np.eye(n)))
         cols = [SolutionTraces(fm, basis.C[:, [j]]) for j in range(n)]
         checks["bracket_constancy_worst"] = max(
             check_bracket_constancy(f, g) for f in cols for g in cols)
         for col in range(n):
-            ok, res = extension.membership(
-                krein, basis.C[:, col], basis.Eb[:, col], tol=1e-8
-            )
+            ok, res = extension.membership(krein, basis.C[:, col], basis.Eb[:, col])
             if not ok:
                 checks.setdefault("membership_failures", []).append(
                     {"column": col, "residual": res})
@@ -337,7 +347,7 @@ def run(cfg: JobConfig):
     hard_checks = [sa_k.verdict, sa_f.verdict, prime]
     if "verify-all" in cfg.tasks:
         hard_checks.append(checks["kernel_membership_ok"])
-        hard_checks.append(checks["bracket_constancy_worst"] <= 1e-8)
+        hard_checks.append(checks["bracket_constancy_worst"] <= extension.GATE)
     code = 0 if all(hard_checks) else 2
     return code, report
 

@@ -272,13 +272,9 @@ def _rounded(X: Matrix, floating: bool) -> list:
     return [[float(v) for v in row] for row in X] if floating else X
 
 
-def basis_polynomials(N: int) -> ScaledBasis:
-    """The 2N boundary-interpolation polynomials on [0, 1]: the j-th
-    derivative at 0 and 1 hits the standard basis pattern exactly."""
-    return _scale_basis(N, lambda_inverse(N), (0, 1))
-
-
 def phi_on_interval(N: int, interval) -> ScaledBasis:
+    """The 2N boundary-interpolation polynomials on the interval: the j-th
+    derivative at a and b hits the standard basis pattern."""
     basis = _scale_basis(N, lambda_inverse(N), interval)
     if _interval_data(interval)[2]:
         basis = ScaledBasis(N=N, a=float(basis.a), length=float(basis.length),

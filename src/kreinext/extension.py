@@ -9,7 +9,7 @@ basis give the pair (A_K, B_K) with B_K^-1 = [[P12, 0], [P22, I]], and
 T_K = B_K^-1 A_K = Psi(b; 0) maps left to right traces on the Krein
 domain, A_K Y(a) = B_K Y(b).  The construction itself solves only with
 P12; ``invert_B`` cross-checks the structured B_K^-1 against a dense
-inverse of B_K.
+inverse of B_K.  Every residual and defect check passes at ``GATE``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .integration import FundamentalMatrix
 from .system import ShinZettlSystem, block_j_matrix
 
 COND_CEILING = 1e12
+GATE = 1e-8
 
 
 def lambda_matrix(psi_b) -> np.ndarray:
@@ -30,11 +31,9 @@ def lambda_matrix(psi_b) -> np.ndarray:
 
     Row block 1 projects the initial trace onto its first MN entries; row
     block 2 does the same after propagation to the right endpoint, i.e. it
-    is the top half of Psi(b).  ``psi_b`` is a fundamental matrix, Psi(b),
-    or a stack of Psi(b) matrices (giving a stack of Lambda matrices).
+    is the top half of Psi(b).  ``psi_b`` is Psi(b) or a stack of Psi(b)
+    matrices (giving a stack of Lambda matrices).
     """
-    if isinstance(psi_b, FundamentalMatrix):
-        psi_b = psi_b.end()
     n = psi_b.shape[-1]
     half = n // 2
     P = np.broadcast_to(np.eye(half, n), psi_b.shape[:-2] + (half, n))
@@ -49,6 +48,7 @@ class KernelBasis:
     M: int
     N: int
     T: np.ndarray  # Psi(b; 0), the transfer matrix of the Krein pair
+    residual: float  # |Lambda C - I|, the reconstruction residual
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,21 @@ def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
     numerically singular, which signals that the minimal operator is not
     strictly positive.
     """
-    lam_mat = lambda_matrix(fm)
+    T, half = fm.end(), sys.M * sys.N
+    lam_mat = lambda_matrix(T)
     cond = float(np.linalg.cond(lam_mat))
     if not np.isfinite(cond) or cond > COND_CEILING:
         raise GammaBijectivityError(
             f"endpoint-trace map condition number {cond:.3e} exceeds "
             f"{COND_CEILING:.0e}; the strict-positivity hypothesis likely fails"
         )
-    T, half = fm.end(), sys.M * sys.N
     lower = np.linalg.solve(T[:half, half:], np.hstack([-T[:half, :half], np.eye(half)]))
     C = np.vstack([np.eye(half, sys.size), lower])
     Eb = T @ C
-    recon = np.linalg.norm(lam_mat @ C - np.eye(sys.size))
-    if recon > 1e-8:
+    recon = float(np.linalg.norm(lam_mat @ C - np.eye(sys.size)))
+    if recon > GATE:
         raise NumericalError(f"kernel basis reconstruction residual {recon:.3e}")
-    return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N, T=T)
+    return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N, T=T, residual=recon)
 
 
 def phi_blocks(basis: KernelBasis):
@@ -131,7 +131,7 @@ def invert_B(pair: BoundaryPair) -> np.ndarray:
     B_inv = np.block([[T[:half, half:], zero], [T[half:, half:], np.eye(half)]])
     dense = np.linalg.inv(pair.B)
     rel = np.linalg.norm(B_inv - dense) / max(1.0, np.linalg.norm(dense))
-    if rel > 1e-8:
+    if rel > GATE:
         raise NumericalError(f"structured inverse deviates from dense: {rel:.3e}")
     return B_inv
 
@@ -155,14 +155,17 @@ def friedrichs_pair(M: int, N: int) -> BoundaryPair:
     return BoundaryPair(A=A, B=B, role="friedrichs", M=M, N=N)
 
 
-def verify_self_adjoint(pair: BoundaryPair, tol: float = 1e-8) -> SelfAdjointnessReport:
+def _numerical_rank(X: np.ndarray) -> int:
+    """Number of singular values of X above 64 eps min(X.shape) sigma_max."""
+    sigma = np.linalg.svd(X, compute_uv=False)
+    return int(np.sum(sigma > sigma.max() * min(X.shape) * np.finfo(float).eps * 64))
+
+
+def verify_self_adjoint(pair: BoundaryPair, tol: float = GATE) -> SelfAdjointnessReport:
     """Check the rank and symplectic conditions for self-adjointness of the
     boundary-value restriction."""
     n = 2 * pair.M * pair.N
-    stacked = np.hstack([pair.A, pair.B])
-    sigma = np.linalg.svd(stacked, compute_uv=False)
-    threshold = sigma.max() * n * np.finfo(float).eps * 64 if sigma.max() > 0 else 0.0
-    rank = int(np.sum(sigma > threshold))
+    rank = _numerical_rank(np.hstack([pair.A, pair.B]))
     J = block_j_matrix(pair.M, 2 * pair.N)
     lhs = pair.A @ J @ pair.A.conj().T
     rhs = pair.B @ J @ pair.B.conj().T
@@ -174,9 +177,7 @@ def verify_self_adjoint(pair: BoundaryPair, tol: float = 1e-8) -> SelfAdjointnes
     )
 
 
-def membership(
-    pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = 1e-8
-):
+def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = GATE):
     """Whether a pair of endpoint traces satisfies the boundary conditions.
 
     Returns (ok, residual) with the residual normalized by the trace size.
@@ -207,8 +208,5 @@ def relative_primeness(pairA: BoundaryPair, pairB: BoundaryPair):
     )
     # unit rows leave the nullspace unchanged and undo the scale of the blocks
     stacked = stacked / np.linalg.norm(stacked, axis=1, keepdims=True).clip(min=1e-300)
-    sigma = np.linalg.svd(stacked, compute_uv=False)
-    threshold = sigma.max() * 2 * n * np.finfo(float).eps * 64 if sigma.max() > 0 else 0.0
-    rank = int(np.sum(sigma > threshold))
-    null_dim = 2 * n - rank
+    null_dim = 2 * n - _numerical_rank(stacked)
     return null_dim == 0, null_dim

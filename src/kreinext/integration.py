@@ -4,8 +4,9 @@ Three propagators, chosen by the system and by what is asked for:
 
 - constant coefficients: the exact solution Psi(x) = expm(S (x - a)).
   ``expm`` is this module's batched Pade-13 scaling and squaring (Higham
-  2005).  The stored grid is filled by products with the one step
-  exponential E = expm(S h), and the endpoint value is expm(S L) itself;
+  2005).  The stored grid is one batched exponential of S (x_k - a) over
+  all grid points, with no step products, so each point, the endpoint
+  included, is the exponential itself and Psi(a) is exactly I;
 - variable coefficients, Psi(b; lambda) alone (``end_matrix``, which the
   positivity scan reads): the 6th-order Magnus method on three Gauss-
   Legendre nodes per step (Iserles & Norsett 1999; Blanes, Casas, Oteo &
@@ -75,18 +76,13 @@ def _check_tolerances(rel_tol: float, abs_tol: float):
         raise StructureError("tolerances must lie in (0, 1)")
 
 
-def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        raise IntegrationError("non-finite fundamental matrix values")
-
-
-def _check_stack(psi: np.ndarray, lams: np.ndarray, how: str):
-    """IntegrationError naming the first lambda of the stack whose
-    Psi(b; lambda) is not finite."""
+def _check_stack(psi: np.ndarray, name: str, points: np.ndarray, how: str = ""):
+    """IntegrationError naming the first point (a lambda or an x) of the
+    stack whose Psi is not finite."""
     bad = ~np.isfinite(psi).all(axis=(-2, -1))
     if bad.any():
         raise IntegrationError(
-            f"non-finite fundamental matrix at lambda={lams[bad][0]} {how}"
+            f"non-finite fundamental matrix at {name}={points[bad][0]}{how}"
         )
 
 
@@ -187,7 +183,7 @@ def _magnus_stack(sys: ShinZettlSystem, lams: np.ndarray, rel_tol, abs_tol) -> n
         if not todo.size:
             return out
         if steps >= MAGNUS_MAX_STEPS:
-            _check_stack(coarse, lams[todo], f"with {steps} Magnus steps")
+            _check_stack(coarse, "lambda", lams[todo], f" with {steps} Magnus steps")
             raise IntegrationError(
                 f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
                 f"steps: error estimate {estimate[0]:.3e}"
@@ -215,7 +211,7 @@ def end_matrix(
     with np.errstate(all="ignore"):
         if sys.is_constant:
             psi = expm(_real_if_real(companion_matrix(sys, a, flat)) * sys.interval.length)
-            _check_stack(psi, flat, "of the matrix exponential")
+            _check_stack(psi, "lambda", flat, " of the matrix exponential")
         else:
             psi = np.empty(flat.shape + (n, n), dtype=complex)
             for k in range(0, len(flat), MAGNUS_CHUNK):
@@ -236,13 +232,7 @@ def fundamental_matrix(
     grid = np.linspace(a, b, GRID_POINTS)
 
     if sys.is_constant:
-        S = companion_matrix(sys, a, lam)
-        step = expm(S * (grid[1] - a))
-        values = np.empty((len(grid), n, n), dtype=complex)
-        values[0] = np.eye(n)
-        for k in range(1, len(grid) - 1):
-            values[k] = values[k - 1] @ step
-        values[-1] = expm(S * sys.interval.length)
+        values = expm(companion_matrix(sys, a, lam) * (grid - a)[:, np.newaxis, np.newaxis])
     else:
         def rhs(x, u):
             return (companion_matrix(sys, x, lam) @ u.reshape(n, n)).ravel()
@@ -263,7 +253,7 @@ def fundamental_matrix(
         values = sol.y.T.reshape(len(grid), n, n).copy()
         values[0] = np.eye(n)  # initial condition is exact by construction
 
-    _check_finite(values)
+    _check_stack(values, "x", grid)
     sign, logdet = np.linalg.slogdet(values)
     singular = (sign == 0) | ~np.isfinite(logdet)
     if singular.any():

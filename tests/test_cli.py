@@ -10,9 +10,22 @@ import warnings
 import numpy as np
 import pytest
 
+import kreinext as kx
 from kreinext import cli, exact
 
 from conftest import VARIABLE_OPERATORS, assert_allclose
+
+
+# configs with a misspelled key or section, by the name the error must give;
+# each would otherwise leave the operator or the scan silently at its default
+UNREAD_KEYS = {
+    "qq": "[operator]\npreset = four-coeff\ninterval = 0, 1\np = 1\nqq = -20\nr = 1\n",
+    "lamda_max": "[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n"
+                 "[tolerances]\nlamda_max = 5\n",
+    "Z2.1": "[operator]\norder = 2\ninterval = 0, 1\nZ.1.2 = 1\nZ2.1 = 1\n",
+    "tolerance": "[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n"
+                 "[tolerance]\nlambda_max = 5\n",
+}
 
 
 def run_cli(args):
@@ -117,6 +130,15 @@ class TestVerifyCommand:
         assert checks["kernel_membership_ok"]
         assert checks["bracket_constancy_worst"] <= 1e-8
         assert checks["gamma_reconstruction_residual"] <= 1e-9
+
+
+    def test_reconstruction_residual_is_the_kernel_basis_one(self):
+        cfg = cli.config_from_args(cli.build_arg_parser().parse_args(
+            ["verify", "--preset", "fourth-order", "--lambda-max", "1"]))
+        _, report = cli.run(cfg)
+        sys_ = cli.build_system(cfg)
+        basis = kx.kernel_basis(sys_, kx.fundamental_matrix(sys_))
+        assert report["checks"]["gamma_reconstruction_residual"] == basis.residual > 0
 
 
 class TestClosedFormCommand:
@@ -235,9 +257,19 @@ class TestExitCodes:
              ["--interval", "1,0"]),
             ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
              ["--interval", "0,inf"]),
+            ("[operator]\norder = 0\ninterval = 0, 1\n", ["--task", "closed-form"]),
+            ("[operator]\norder = -2\ninterval = 0, 1\n", ["--task", "closed-form"]),
+            ("[operator]\norder = 4\ninterval = 0, 0\n", ["--task", "closed-form"]),
+            ("[operator]\norder = 4\ninterval = 0, inf\n", ["--task", "closed-form"]),
+            ("[operator]\norder = 4\ninterval = 1, 0\n", ["--task", "closed-form"]),
+            *((config, []) for config in UNREAD_KEYS.values()),
         ],
         ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
-             "block_size_0", "reversed_interval", "infinite_interval"],
+             "block_size_0", "reversed_interval", "infinite_interval",
+             "closed_form_order_0", "closed_form_order_negative", "closed_form_empty_interval",
+             "closed_form_infinite_interval", "closed_form_reversed_interval",
+             "unread_coefficient_key", "unread_tolerance_key", "unread_explicit_key",
+             "unknown_section"],
     )
     def test_bad_number_is_configuration_error(self, tmp_path, config, option):
         cfg = tmp_path / "job.ini"
@@ -252,6 +284,14 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("configuration error:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key", sorted(UNREAD_KEYS))
+    def test_unread_key_is_named(self, tmp_path, capsys, key):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(UNREAD_KEYS[key])
+        assert run_cli(["compute", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err, err
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         # negative weight fails the structural checks -> exit 1
@@ -343,6 +383,19 @@ class TestFalsePositivityCertificates:
         _, report = cli.run(cli.config_from_args(args))
         assert not report["positivity"]["certified_strictly_positive"]
         assert report["matrices"]["role"] == "candidate"
+
+class TestEigenvalueBelowTheScanGrid:
+    @pytest.mark.xfail(strict=True, reason="the scan's first nonzero point, 2.5e-3, lies "
+                       "above lambda_1; the lowest located dip is the 25th eigenvalue")
+    def test_lowest_dirichlet_eigenvalue_on_long_interval(self):
+        # -y'' on [0, 1000]: lambda_1 = pi^2 / 10^6, but the scan reports
+        # (25 pi / 1000)^2 = 6.1685e-3 as the lowest eigenvalue
+        args = cli.build_arg_parser().parse_args(
+            ["compute", "--preset", "pure", "--order", "2", "--interval", "0,1000"])
+        _, report = cli.run(cli.config_from_args(args))
+        lam = report["positivity"]["lambda_min"]
+        assert abs(lam - np.pi**2 / 1e6) <= 1e-5 * np.pi**2 / 1e6, lam
+
 
 class TestSerialization:
     def test_complex_and_fraction_coding(self):

@@ -69,7 +69,7 @@ class TestClosedFormInverses:
 class TestBoundaryBasis:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_unit_traces_on_reference_interval(self, N):
-        basis = exact.basis_polynomials(N)
+        basis = exact.phi_on_interval(N, (0, 1))
         for k in range(1, 2 * N + 1):
             for j in range(1, N + 1):
                 want_a = Fraction(1) if k == j else Fraction(0)

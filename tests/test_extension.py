@@ -19,7 +19,7 @@ class TestTraceMap:
     def test_lambda_matrix_four_coeff(self, pipelines):
         pipe = pipelines["four-coeff"]
         c, s = np.cosh(1.0), np.sinh(1.0)
-        assert_allclose(lambda_matrix(pipe.fm), [[1, 0], [c, s]], 1e-9)
+        assert_allclose(lambda_matrix(pipe.fm.end()), [[1, 0], [c, s]], 1e-9)
 
 
 class TestKernelBasis:
@@ -33,7 +33,7 @@ class TestKernelBasis:
 
     def test_reconstruction(self, pipeline):
         n = pipeline.sys.size
-        resid = np.abs(lambda_matrix(pipeline.fm) @ pipeline.basis.C - np.eye(n)).max()
+        resid = np.abs(lambda_matrix(pipeline.fm.end()) @ pipeline.basis.C - np.eye(n)).max()
         assert resid <= 1e-9
 
     def test_singular_trace_map_raises(self):

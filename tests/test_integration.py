@@ -11,7 +11,7 @@ from kreinext.errors import IntegrationError, StructureError
 from kreinext.integration import DEFAULT_REL_TOL, end_matrix
 from kreinext.system import companion_matrix
 
-from conftest import VARIABLE_OPERATORS, assert_allclose
+from conftest import PRESETS, VARIABLE_OPERATORS, assert_allclose
 
 
 def relative(actual, expected) -> float:
@@ -38,6 +38,16 @@ class TestConstantCoefficientOracle:
         a = pipe.sys.interval.a
         for x, value in zip(pipe.fm.grid, pipe.fm.values):
             assert_allclose(value, expm(S * (x - a)), 1e-8)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_grid_is_the_exponential_bit_for_bit(self, pipelines, name):
+        # each grid point is expm(S (x_k - a)) itself, with no step products
+        pipe = pipelines[name]
+        a = pipe.sys.interval.a
+        S = companion_matrix(pipe.sys, a, 0.0)
+        for x, value in zip(pipe.fm.grid, pipe.fm.values):
+            assert np.array_equal(value, integration.expm(S * (x - a)))
+        assert np.array_equal(pipe.fm.values[0], np.eye(pipe.sys.size))
 
     def test_spectral_parameter_enters_rhs(self):
         sys = kx.preset_pure(1, (0, np.pi))
