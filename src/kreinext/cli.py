@@ -5,8 +5,12 @@ runs the requested tasks, and emits a deterministic JSON report.  Complex
 numbers are serialized as two-element [re, im] arrays and matrices as
 row-major nested arrays.
 
+Each job setting, from a config file or a flag, is read and checked by its
+row of ``SETTINGS``; a flag overrides the file.
+
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 configuration error (also a bad order or interval, and an unread key).
+3 configuration error (also a bad order or interval, and a key or setting
+the operator does not read).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import configparser
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -45,11 +50,9 @@ from .system import (
 
 KNOWN_TASKS = ("validate", "krein", "friedrichs", "spectrum", "closed-form", "verify-all")
 DEFAULT_LAMBDA_MAX = 100.0
-# the keys of each config section; the coefficient keys follow the operator
-SECTION_KEYS = {"operator": ("preset", "order", "block_size", "interval"),
-                "tolerances": ("rel_tol", "abs_tol", "lambda_max"), "tasks": ("tasks",)}
-# the coefficient keys each preset reads; an explicit operator reads W and Z.j.k
-PRESET_KEYS = {"pure": (), "fourth-order": (), "four-coeff": ("p", "q", "r", "s")}
+# what each operator reads besides its interval; None is the explicit operator
+PRESET_KEYS = {"pure": ("order",), "fourth-order": (),
+               "four-coeff": ("block_size", "p", "q", "r", "s"), None: ("order", "W", "Z.j.k")}
 
 
 class ConfigError(KreinExtError):
@@ -60,7 +63,7 @@ class ConfigError(KreinExtError):
 class JobConfig:
     preset: Optional[str] = None
     order: Optional[int] = None
-    block_size: int = 1
+    block_size: Optional[int] = None  # unset is M = 1
     interval: Optional[tuple] = None
     coefficients: dict = field(default_factory=dict)  # p, q, r, s or W / Z.j.k
     tasks: list = field(default_factory=list)
@@ -90,6 +93,51 @@ def _as_jsonable(value):
     return value
 
 
+def _checked(convert, ok):
+    """A parser that converts a text and requires ``ok`` of the value."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse
+
+
+def _parse_interval(text: str) -> tuple:
+    a, b = map(float, text.replace(",", " ").split())
+    Interval(a, b)  # finite, a < b
+    return a, b
+
+
+# the job settings: config section, flag, what a value must be (the flag's
+# help), and the parser that converts a text and checks its range
+Setting = namedtuple("Setting", "section flag accepts parse")
+_tolerance = _checked(float, lambda tol: 0 < tol < 1)
+SETTINGS = {
+    "preset": Setting("operator", "--preset", "one of pure, fourth-order, four-coeff",
+                      _checked(str, lambda name: name in PRESET_KEYS)),
+    "order": Setting("operator", "--order", "an even integer 2N >= 2", int),
+    "block_size": Setting("operator", "--block-size", "an integer M >= 1",
+                          _checked(int, lambda m: m >= 1)),
+    "interval": Setting("operator", "--interval", "'a,b' with finite a < b", _parse_interval),
+    "rel_tol": Setting("tolerances", "--rel-tol", "a number in (0, 1)", _tolerance),
+    "abs_tol": Setting("tolerances", "--abs-tol", "a number in (0, 1)", _tolerance),
+    "lambda_max": Setting("tolerances", "--lambda-max", "a scan bound in (0, inf)",
+                          _checked(float, lambda lam: 0 < lam < np.inf)),
+    "tasks": Setting("tasks", "--task", "task names from " + ", ".join(KNOWN_TASKS),
+                     _checked(lambda text: text.replace(",", " ").split(),
+                              lambda names: set(names) <= set(KNOWN_TASKS))),
+}
+
+
+def _read(name: str, text: str):
+    """The checked value of setting ``name`` given as ``text``."""
+    try:
+        return SETTINGS[name].parse(text)
+    except (ValueError, StructureError) as exc:
+        raise ConfigError(f"{name} must be {SETTINGS[name].accepts}, got {text!r}") from exc
+
+
 def load_config_file(path: str) -> JobConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep Z.j.k key case and dots intact
@@ -97,56 +145,18 @@ def load_config_file(path: str) -> JobConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = JobConfig()
+    sections = {setting.section for setting in SETTINGS.values()}
     for name in parser.sections():
-        if name not in SECTION_KEYS:
+        if name not in sections:
             raise ConfigError(f"unknown config section [{name}]")
-        for key in parser[name]:
-            if name != "operator" and key not in SECTION_KEYS[name]:
+        for key, text in parser[name].items():
+            if key in SETTINGS and SETTINGS[key].section == name:
+                setattr(cfg, key, _read(key, text))
+            elif name == "operator":
+                cfg.coefficients[key] = text
+            else:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
-    if parser.has_section("operator"):
-        op = parser["operator"]
-        cfg.preset = op.get("preset", None)
-        if "order" in op:
-            cfg.order = _parse_number(op, "order", int)
-        if "block_size" in op:
-            cfg.block_size = _parse_number(op, "block_size", int)
-        if "interval" in op:
-            cfg.interval = _parse_interval(op["interval"])
-        for key, value in op.items():
-            if key in SECTION_KEYS["operator"]:
-                continue
-            cfg.coefficients[key] = value
-    if parser.has_section("tolerances"):
-        tol = parser["tolerances"]
-        for key in SECTION_KEYS["tolerances"]:
-            if key in tol:
-                setattr(cfg, key, _parse_number(tol, key, float))
-    if parser.has_section("tasks"):
-        raw = parser["tasks"].get("tasks", "")
-        cfg.tasks = [t for t in raw.replace(",", " ").split() if t]
     return cfg
-
-
-def _parse_number(section, key: str, kind):
-    try:
-        return kind(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {section[key]!r}") from exc
-
-
-def _parse_interval(text: str) -> tuple:
-    """The endpoints of 'a,b', checked as an ``Interval``."""
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"interval must be 'a,b', got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        Interval(a, b)
-    except ValueError as exc:
-        raise ConfigError(f"bad interval {text!r}") from exc
-    except StructureError as exc:
-        raise ConfigError(str(exc)) from exc
-    return a, b
 
 
 def _half_order(order, what: str) -> int:
@@ -156,11 +166,18 @@ def _half_order(order, what: str) -> int:
     return order // 2
 
 
+def _check_reads(cfg: JobConfig, preset: Optional[str], what: str):
+    """Reject each given operator setting that ``preset`` does not read."""
+    given = [key for key in ("order", "block_size") if getattr(cfg, key) is not None]
+    for key in given + list(cfg.coefficients):
+        if ("Z.j.k" if key.startswith("Z.") else key) not in PRESET_KEYS[preset]:
+            raise ConfigError(f"{what} reads no setting {key!r}")
+
+
 def build_system(cfg: JobConfig) -> ShinZettlSystem:
-    """The configured system; a structurally invalid configuration (a bad
-    interval or block size) is a configuration error."""
-    if cfg.block_size < 1:
-        raise ConfigError(f"block_size must be at least 1, got {cfg.block_size}")
+    """The configured system; a setting the operator does not read and a
+    structurally invalid configuration are configuration errors."""
+    _check_reads(cfg, cfg.preset, f"the {cfg.preset or 'explicit'} operator")
     try:
         return _system_from_config(cfg)
     except StructureError as exc:
@@ -169,12 +186,6 @@ def build_system(cfg: JobConfig) -> ShinZettlSystem:
 
 def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
     interval = cfg.interval
-    if cfg.preset is not None and cfg.preset not in PRESET_KEYS:
-        raise ConfigError(f"unknown preset {cfg.preset!r}")
-    for key in cfg.coefficients:
-        if (key not in PRESET_KEYS[cfg.preset] if cfg.preset
-                else key != "W" and not key.startswith("Z.")):
-            raise ConfigError(f"the {cfg.preset or 'explicit'} operator reads no key {key!r}")
     if cfg.preset == "pure":
         return preset_pure(_half_order(cfg.order, "pure preset"), interval or (0.0, 1.0))
     if cfg.preset == "fourth-order":
@@ -185,12 +196,10 @@ def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
         if interval is None:
             raise ConfigError("four-coeff preset requires --interval")
         return preset_four_coeff(
-            coeff["p"], coeff["q"], coeff["r"], coeff["s"], interval, M=cfg.block_size
+            coeff["p"], coeff["q"], coeff["r"], coeff["s"], interval, M=cfg.block_size or 1
         )
 
     # explicit operator: scalar entries Z.j.k and W (block size 1)
-    if cfg.block_size != 1:
-        raise ConfigError("explicit operators support block_size 1 only; use a preset")
     N = _half_order(cfg.order, "explicit operator")
     if interval is None:
         raise ConfigError("explicit operator requires an interval")
@@ -237,12 +246,13 @@ def run(cfg: JobConfig):
         "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol}}
     if not cfg.tasks:
         raise ConfigError("no tasks requested")
-    for task in cfg.tasks:
-        if task not in KNOWN_TASKS:
-            raise ConfigError(f"unknown task {task!r}")
 
     closed_form_only = set(cfg.tasks) == {"closed-form"}
     if "closed-form" in cfg.tasks:
+        # the closed forms are those of the pure operator
+        if cfg.preset not in (None, "pure"):
+            raise ConfigError(f"the closed-form task reads no preset {cfg.preset!r}")
+        _check_reads(cfg, "pure", "the closed-form task")
         N = _half_order(cfg.order, "closed-form task")
         # decimal endpoints are treated as exact rationals here
         interval = tuple(Fraction(str(v)) for v in (cfg.interval or (0, 1)))
@@ -363,15 +373,9 @@ def write_report(report: dict, out: Optional[str]):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="path to a config file")
-    parser.add_argument("--preset", choices=["pure", "fourth-order", "four-coeff"])
-    parser.add_argument("--order", type=int, help="operator order 2N")
-    parser.add_argument("--block-size", type=int, help="matrix block size M")
-    parser.add_argument("--interval", help="endpoints 'a,b'")
-    parser.add_argument("--task", action="append", default=None,
-                        help="task name (repeatable)")
-    parser.add_argument("--rel-tol", type=float)
-    parser.add_argument("--abs-tol", type=float)
-    parser.add_argument("--lambda-max", type=float)
+    for name, setting in SETTINGS.items():  # --task repeats, once per task
+        parser.add_argument(setting.flag, dest=name, help=setting.accepts,
+                            action="append" if name == "tasks" else "store")
     parser.add_argument("--out", help="write the JSON report to this path")
 
 
@@ -401,30 +405,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> JobConfig:
+    """The config file's settings, each overridden by its flag if given."""
     cfg = load_config_file(args.config) if args.config else JobConfig()
-    if args.preset:
-        cfg.preset = args.preset
-    if args.order is not None:
-        cfg.order = args.order
-    if args.block_size is not None:
-        cfg.block_size = args.block_size
-    if args.interval:
-        cfg.interval = _parse_interval(args.interval)
-    if args.task:
-        cfg.tasks = list(args.task)
-    if not cfg.tasks:
-        cfg.tasks = list(args.default_tasks)
-    if args.rel_tol is not None:
-        cfg.rel_tol = args.rel_tol
-    if args.abs_tol is not None:
-        cfg.abs_tol = args.abs_tol
-    if args.lambda_max is not None:
-        cfg.lambda_max = args.lambda_max
+    for name in SETTINGS:
+        text = getattr(args, name)  # a list of texts for a repeated flag
+        if text is not None:
+            setattr(cfg, name, _read(name, text if isinstance(text, str) else " ".join(text)))
+    cfg.tasks = cfg.tasks or list(args.default_tasks)
     cfg.out = args.out
-    if not 0 < cfg.lambda_max < np.inf:
-        raise ConfigError(f"lambda_max must be positive and finite, got {cfg.lambda_max}")
-    if not (0 < cfg.rel_tol < 1 and 0 < cfg.abs_tol < 1):
-        raise ConfigError(f"tolerances must lie in (0, 1), got {cfg.rel_tol}, {cfg.abs_tol}")
     return cfg
 
 

@@ -27,6 +27,31 @@ UNREAD_KEYS = {
                  "[tolerance]\nlambda_max = 5\n",
 }
 
+# command lines that set what their operator does not read: the case, the
+# text naming the setting that the error must contain, and the arguments
+UNREAD_SETTINGS = [
+    ("fourth_order_order", "'order'",
+     ["compute", "--preset", "fourth-order", "--order", "6", "--task", "validate"]),
+    ("pure_block_size", "'block_size'",
+     ["compute", "--preset", "pure", "--order", "2", "--block-size", "3"]),
+    ("four_coeff_order", "'order'",
+     ["compute", "--preset", "four-coeff", "--order", "4", "--interval", "0,1"]),
+    ("closed_form_preset", "preset 'four-coeff'",
+     ["closed-form", "--preset", "four-coeff", "--order", "4"]),
+]
+
+# two valid texts of each job setting, for the config file and the flag
+SETTING_TEXTS = {
+    "preset": ("pure", "four-coeff"),
+    "order": ("4", "6"),
+    "block_size": ("2", "3"),
+    "interval": ("0, 2", "1,3"),
+    "rel_tol": ("1e-9", "0.5"),
+    "abs_tol": ("1e-11", "1e-3"),
+    "lambda_max": ("20", "1e3"),
+    "tasks": ("friedrichs, spectrum", "verify-all"),
+}
+
 
 def run_cli(args):
     return cli.main(args)
@@ -215,6 +240,39 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["compute", "--config", str(tmp_path / "nope.ini")]) == 3
 
+    @pytest.mark.parametrize("section, line", [
+        ("tolerances", "lambda_max = 0"),
+        ("tolerances", "rel_tol = 2"),
+        ("tolerances", "abs_tol = 0"),
+        ("operator", "block_size = 0"),
+        ("tasks", "tasks = validate, bogus"),
+    ])
+    def test_out_of_range_setting_is_rejected(self, tmp_path, section, line):
+        # the file path checks each range itself, for every caller of
+        # load_config_file, not only for the command line
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(cli.ConfigError):
+            cli.load_config_file(str(cfg))
+
+    @pytest.mark.parametrize("name", list(cli.SETTINGS))
+    def test_file_and_flag_agree(self, tmp_path, name):
+        # one setting from a config file gives the job its flag gives, and
+        # the flag overrides the file
+        setting, (file_text, flag_text) = cli.SETTINGS[name], SETTING_TEXTS[name]
+        cfg = tmp_path / "job.ini"
+        cfg.write_text(f"[{setting.section}]\n{name} = {file_text}\n")
+
+        def job(*args):
+            return cli.config_from_args(cli.build_arg_parser().parse_args(["compute", *args]))
+
+        from_file = job("--config", str(cfg))
+        assert from_file == job(setting.flag, file_text)
+        assert getattr(from_file, name) != getattr(job(), name)
+        overridden = job("--config", str(cfg), setting.flag, flag_text)
+        assert overridden == job(setting.flag, flag_text)
+        assert getattr(overridden, name) != getattr(from_file, name)
+
 
 class TestExitCodes:
     def test_unknown_task(self):
@@ -263,20 +321,24 @@ class TestExitCodes:
             ("[operator]\norder = 4\ninterval = 0, inf\n", ["--task", "closed-form"]),
             ("[operator]\norder = 4\ninterval = 1, 0\n", ["--task", "closed-form"]),
             *((config, []) for config in UNREAD_KEYS.values()),
+            *((None, args) for _, _, args in UNREAD_SETTINGS),
         ],
         ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
              "block_size_0", "reversed_interval", "infinite_interval",
              "closed_form_order_0", "closed_form_order_negative", "closed_form_empty_interval",
              "closed_form_infinite_interval", "closed_form_reversed_interval",
              "unread_coefficient_key", "unread_tolerance_key", "unread_explicit_key",
-             "unknown_section"],
+             "unknown_section", *(case for case, _, _ in UNREAD_SETTINGS)],
     )
     def test_bad_number_is_configuration_error(self, tmp_path, config, option):
-        cfg = tmp_path / "job.ini"
-        cfg.write_text(config)
+        # without a config, the option is the whole command line
+        if config is not None:
+            cfg = tmp_path / "job.ini"
+            cfg.write_text(config)
+            option = ["compute", "--config", str(cfg), *option]
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
-            [sys.executable, "-m", "kreinext.cli", "compute", "--config", str(cfg), *option],
+            [sys.executable, "-m", "kreinext.cli", *option],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": package_root},
         )
@@ -285,11 +347,18 @@ class TestExitCodes:
         assert proc.stderr.startswith("configuration error:")
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("key", sorted(UNREAD_KEYS))
-    def test_unread_key_is_named(self, tmp_path, capsys, key):
-        cfg = tmp_path / "job.ini"
-        cfg.write_text(UNREAD_KEYS[key])
-        assert run_cli(["compute", "--config", str(cfg)]) == 3
+    @pytest.mark.parametrize(
+        "key, args",
+        [*((key, None) for key in sorted(UNREAD_KEYS)),
+         *((key, args) for _, key, args in UNREAD_SETTINGS)],
+        ids=[*sorted(UNREAD_KEYS), *(case for case, _, _ in UNREAD_SETTINGS)],
+    )
+    def test_unread_key_is_named(self, tmp_path, capsys, key, args):
+        if args is None:
+            cfg = tmp_path / "job.ini"
+            cfg.write_text(UNREAD_KEYS[key])
+            args = ["compute", "--config", str(cfg)]
+        assert run_cli(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err, err
 
