@@ -5,9 +5,8 @@ operator is spanned by monomials, so the whole boundary-matrix pipeline
 collapses to combinatorics: explicit inverses built from binomial sums,
 polynomial boundary bases, closed-form boundary blocks, and an upper
 triangular Toeplitz transfer matrix.  Everything here is computed with
-``fractions.Fraction``.  A float endpoint is taken at its exact binary
-value, so the arithmetic is exact for every interval; results are rounded
-to floats only on return, and only when an endpoint was given as a float.
+``fractions.Fraction``, and every result is exact: a float endpoint is
+taken at its exact binary value.
 
 Binomial convention: ``binom(r, k) = 0`` for negative integer k, and the
 upper argument may be any integer or rational (generalized binomial).
@@ -153,21 +152,13 @@ def matrix_D(N: int) -> Matrix:
     ]
 
 
-def matrix_P(N: int) -> Matrix:
-    return [[Fraction(binom(k - 1, j - 1)) for k in range(1, N + 1)]
-            for j in range(1, N + 1)]
-
-
-def matrix_P_inverse(N: int) -> Matrix:
-    return [[Fraction((-1) ** (j + k) * binom(k - 1, j - 1)) for k in range(1, N + 1)]
-            for j in range(1, N + 1)]
-
-
 def matrix_D_inverse(N: int) -> Matrix:
     """Closed-form inverse of the right-endpoint derivative block.
 
     Entry (j, k) is sum_l (-1)^(j+k)/(k-1)! C(l-1, j-1) C(N-1+l-k, l-k).
-    Verified exactly against the defining product.
+    It is not checked here: the lower right block of the product that
+    ``lambda_inverse`` checks is D D^-1 = I, and for a square matrix a
+    one-sided inverse is two-sided.
     """
     out = _zeros(N)
     for j in range(1, N + 1):
@@ -181,8 +172,6 @@ def matrix_D_inverse(N: int) -> Matrix:
                     * binom(N - 1 + ell - k, ell - k)
                 )
             out[j - 1][k - 1] = total
-    if mat_mul(out, matrix_D(N)) != mat_eye(N):
-        raise AssertionError("closed-form inverse failed the defining identity")
     return out
 
 
@@ -240,18 +229,18 @@ def lambda_inverse(N: int) -> Matrix:
 class ScaledBasis:
     """The boundary basis carried to [a, b] by shift and scale.
 
-    ``coeffs[l][k]`` multiplies (x - a)^l.  Entries are Fractions, or
-    floats when an endpoint was given as a float.
+    ``coeffs[l][k]`` multiplies (x - a)^l.  ``a``, ``length`` and the
+    entries are Fractions.
     """
 
     N: int
-    a: object
-    length: object
-    coeffs: list
+    a: Fraction
+    length: Fraction
+    coeffs: Matrix
 
-    def derivative_at(self, k: int, order: int, x) -> object:
+    def derivative_at(self, k: int, order: int, x) -> Fraction:
         u = x - self.a
-        total = 0 * self.length
+        total = Fraction(0)
         for ell in range(order, 2 * self.N):
             c = self.coeffs[ell][k - 1]
             if c == 0:
@@ -262,29 +251,20 @@ class ScaledBasis:
 
 
 def _interval_data(interval):
-    """Exact left endpoint and length, and whether to return floats."""
+    """Exact left endpoint and length."""
     a, b = interval
-    floating = isinstance(a, float) or isinstance(b, float)
-    return Fraction(a), Fraction(b) - Fraction(a), floating
-
-
-def _rounded(X: Matrix, floating: bool) -> list:
-    return [[float(v) for v in row] for row in X] if floating else X
+    return Fraction(a), Fraction(b) - Fraction(a)
 
 
 def phi_on_interval(N: int, interval) -> ScaledBasis:
     """The 2N boundary-interpolation polynomials on the interval: the j-th
     derivative at a and b hits the standard basis pattern."""
-    basis = _scale_basis(N, lambda_inverse(N), interval)
-    if _interval_data(interval)[2]:
-        basis = ScaledBasis(N=N, a=float(basis.a), length=float(basis.length),
-                            coeffs=_rounded(basis.coeffs, True))
-    return basis
+    return _scale_basis(N, lambda_inverse(N), interval)
 
 
 def _scale_basis(N: int, base: Matrix, interval) -> ScaledBasis:
     """Carry the [0, 1] basis with coefficients ``base`` to the interval."""
-    a, h, _ = _interval_data(interval)
+    a, h = _interval_data(interval)
     coeffs = [[None] * (2 * N) for _ in range(2 * N)]
     for k in range(1, 2 * N + 1):
         scale = h ** (k - 1) if k <= N else h ** (k - N - 1)
@@ -306,12 +286,7 @@ def phi_blocks(N: int, interval):
     Cross-checked exactly against direct differentiation of the scaled
     basis.
     """
-    floating = _interval_data(interval)[2]
-    return tuple(_rounded(X, floating) for X in _phi_blocks(N, interval))
-
-
-def _phi_blocks(N: int, interval):
-    a, h, _ = _interval_data(interval)
+    a, h = _interval_data(interval)
     L = lambda_inverse(N)
     minus_X = [row[:N] for row in L[N:]]
     D_inv = [row[N:] for row in L[N:]]
@@ -344,52 +319,39 @@ def _phi_blocks(N: int, interval):
     return phi0_a, phi0_b, phiN_a, phiN_b
 
 
-def toeplitz_TK(N: int, interval) -> list:
+def toeplitz_TK(N: int, interval) -> Matrix:
     """Upper triangular Toeplitz transfer matrix, entries h^(k-j)/(k-j)!."""
-    _, _, floating = _interval_data(interval)
-    return _rounded(_toeplitz(N, interval), floating)
-
-
-def _toeplitz(N: int, interval) -> Matrix:
-    _, h, _ = _interval_data(interval)
+    _, h = _interval_data(interval)
     n = 2 * N
     return [
-        [h ** (k - j) * inv_factorial(k - j) if k >= j else 0 * h
+        [h ** (k - j) * inv_factorial(k - j) if k >= j else Fraction(0)
          for k in range(n)]
         for j in range(n)
     ]
 
 
 def verify_factorization(N: int, interval) -> bool:
-    """Check exactly the four block identities and the full product identity
-    linking the boundary pair to the Toeplitz transfer matrix."""
-    phi0_a, phi0_b, phiN_a, phiN_b = _phi_blocks(N, interval)
-    tk = _toeplitz(N, interval)
+    """Check exactly the four block identities linking the boundary pair to
+    the Toeplitz transfer matrix T_K = [[T1, T2], [0, T1]]:
+
+        -phiN_a T1 = phi0_a,   -phiN_b T1 = phi0_b,
+         phiN_a T2 = I,         phiN_b T2 = T1.
+
+    With A_K = [[-phi0_a, I], [phi0_b, 0]] and B_K = [[phiN_a, 0],
+    [-phiN_b, I]], the four N x N blocks of B_K T_K - A_K are exactly these
+    identities, so they are the full product identity B_K T_K = A_K.
+    """
+    phi0_a, phi0_b, phiN_a, phiN_b = phi_blocks(N, interval)
+    tk = toeplitz_TK(N, interval)
     T1 = [row[:N] for row in tk[:N]]
     T2 = [row[N:] for row in tk[:N]]
 
     def neg(X):
         return [[-v for v in row] for row in X]
 
-    checks = [
-        mat_mul(neg(phiN_a), T1) == phi0_a,
-        mat_mul(neg(phiN_b), T1) == phi0_b,
-        mat_mul(phiN_a, T2) == mat_eye(N),
-        mat_mul(phiN_b, T2) == T1,
-    ]
-    if not all(checks):
-        return False
-
-    # full 2N x 2N product: A_K = B_K T_K
-    n = 2 * N
-    A_K = _zeros(n)
-    B_K = _zeros(n)
-    for j in range(N):
-        for k in range(N):
-            A_K[j][k] = -phi0_a[j][k]
-            A_K[N + j][k] = phi0_b[j][k]
-            B_K[j][k] = phiN_a[j][k]
-            B_K[N + j][k] = -phiN_b[j][k]
-        A_K[j][N + j] = Fraction(1)
-        B_K[N + j][N + j] = Fraction(1)
-    return mat_mul(B_K, tk) == A_K
+    return (
+        mat_mul(neg(phiN_a), T1) == phi0_a
+        and mat_mul(neg(phiN_b), T1) == phi0_b
+        and mat_mul(phiN_a, T2) == mat_eye(N)
+        and mat_mul(phiN_b, T2) == T1
+    )

@@ -117,7 +117,7 @@ def test_criterion_6_exact_rational_suite():
                 assert basis.derivative_at(k, j - 1, Fraction(1)) == (
                     1 if k == N + j else 0
                 )
-        # four block identities plus the full product identity, exact
+        # the four block identities, i.e. the full product identity, exact
         assert exact.verify_factorization(N, (0, 1))
         assert exact.verify_factorization(N, (Fraction(-1, 2), Fraction(5, 3)))
     for which in ("i", "ii", "iii"):

@@ -53,14 +53,6 @@ class TestClosedFormInverses:
             exact.lambda_matrix_exact(N)
         )
 
-    @pytest.mark.parametrize("N", range(1, 7))
-    def test_p_inverse_and_q(self, N):
-        P = exact.matrix_P(N)
-        assert exact.mat_mul(exact.matrix_P_inverse(N), P) == exact.mat_eye(N)
-        # D = A P^-1 Q A^-1 restated: Q = P A^-1 D A ... verified via D^-1
-        DinvD = exact.mat_mul(exact.matrix_D_inverse(N), exact.matrix_D(N))
-        assert DinvD == exact.mat_eye(N)
-
     def test_gauss_inverse_rejects_singular(self):
         with pytest.raises(ZeroDivisionError):
             exact.gauss_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
@@ -118,9 +110,13 @@ class TestPhiBlocks:
         for num, exa in zip(numeric, closed):
             assert_allclose(num, np.array(exa, dtype=float), 1e-7)
 
-    def test_float_interval_falls_back(self):
-        blocks = exact.phi_blocks(2, (0.0, np.sqrt(2.0)))
-        assert isinstance(blocks[0][0][0], float)
+    def test_float_interval_is_exact(self):
+        # a float endpoint is taken at its exact binary value
+        h = Fraction(np.sqrt(2.0))
+        phi0_a, _, _, _ = exact.phi_blocks(1, (0.0, np.sqrt(2.0)))
+        assert phi0_a == [[-1 / h]]
+        assert exact.phi_on_interval(1, (0.0, np.sqrt(2.0))).length == h
+        assert exact.toeplitz_TK(1, (0.0, np.sqrt(2.0))) == [[1, h], [0, 1]]
 
 
 class TestFactorization:
@@ -137,6 +133,23 @@ class TestFactorization:
         h = Fraction(3)
         T = exact.toeplitz_TK(1, (0, h))
         assert T == [[1, 3], [0, 1]]
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("block", range(4), ids=["phi0_a", "phi0_b", "phiN_a", "phiN_b"])
+    def test_wrong_block_is_caught(self, monkeypatch, block, entry):
+        # each block enters at least one of the four block identities
+        closed_form = exact.phi_blocks
+
+        def perturbed(N, interval):
+            blocks = [[list(row) for row in X] for X in closed_form(N, interval)]
+            j, k = entry
+            blocks[block][j][k] += Fraction(1, 7)
+            return tuple(blocks)
+
+        interval = (Fraction(1, 3), Fraction(7, 2))
+        assert exact.verify_factorization(2, interval)
+        monkeypatch.setattr(exact, "phi_blocks", perturbed)
+        assert not exact.verify_factorization(2, interval)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_reference_interval(self, N):
