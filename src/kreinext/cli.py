@@ -386,6 +386,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that starts with '-' as an option, so a
+        # negative left endpoint after --interval is joined to the flag
+        flag = SETTINGS["interval"].flag
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] == flag and token[:1] == "-" and token[:2] != "--":
+                joined[-1] = f"{flag}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(

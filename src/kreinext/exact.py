@@ -4,9 +4,14 @@ For the constant-coefficient pure expression the kernel of the maximal
 operator is spanned by monomials, so the whole boundary-matrix pipeline
 collapses to combinatorics: explicit inverses built from binomial sums,
 polynomial boundary bases, closed-form boundary blocks, and an upper
-triangular Toeplitz transfer matrix.  Everything here is computed with
-``fractions.Fraction``, and every result is exact: a float endpoint is
-taken at its exact binary value.
+triangular Toeplitz transfer matrix.  Inside, each matrix is a list of
+Python ``int`` rows over one common denominator: Lambda^-1 on [0, 1] is
+over (N-1)!, and with h = p/q the interval length, h^e is
+p^(2N-1+e) q^(2N-1-e) over (pq)^(2N-1).  Products are integer dot
+products and equality is cross-multiplication, so every identity is
+checked exactly.  Results are returned as ``fractions.Fraction``; a float
+endpoint is taken at its exact binary value.  The elimination oracle
+``gauss_inverse`` stays in Fractions, apart from the closed forms.
 
 Binomial convention: ``binom(r, k) = 0`` for negative integer k, and the
 upper argument may be any integer or rational (generalized binomial).
@@ -16,10 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm, perm
+from operator import mul
 from typing import List, Optional, Tuple
 
 Matrix = List[List[Fraction]]
+IntMatrix = List[List[int]]
+Scaled = Tuple[IntMatrix, int]  # integer rows over one common denominator
 
 
 def binom(r, k: int):
@@ -86,29 +94,38 @@ def binom_identity_check(which: str, **ranges) -> Tuple[bool, Optional[tuple]]:
     raise ValueError(f"unknown identity {which!r}")
 
 
-def _zeros(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
+def _over(X: Matrix) -> Scaled:
+    """Integer rows over the lcm of the entries' denominators."""
+    den = lcm(*(v.denominator for row in X for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in X], den
 
 
-def mat_mul(X: Matrix, Y: Matrix) -> Matrix:
-    n, m, p = len(X), len(Y), len(Y[0])
-    out = [[sum(X[i][k] * Y[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-    return out
+def _fractions(rows: IntMatrix, den: int) -> Matrix:
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
+def _equal(X: Scaled, Y: Scaled) -> bool:
+    """Whether two scaled matrices hold the same values, by
+    cross-multiplication; a negative denominator negates a matrix."""
+    (x, dx), (y, dy) = X, Y
+    return all(u * dy == v * dx for ru, rv in zip(x, y) for u, v in zip(ru, rv))
+
+
+def mat_mul(X, Y):
+    """Matrix product of lists of rows of ints or Fractions."""
+    cols = list(zip(*Y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in X]
 
 
 def mat_eye(n: int) -> Matrix:
-    out = _zeros(n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def gauss_inverse(X: Matrix) -> Matrix:
-    """Exact Gaussian-elimination inverse; the independent oracle for the
-    closed-form inverses."""
+    """Exact Gaussian-elimination inverse in Fractions; the independent
+    oracle for the closed-form inverses."""
     n = len(X)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(X)]
+    aug = [[Fraction(v) for v in row] + eye for row, eye in zip(X, mat_eye(n))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -123,33 +140,46 @@ def gauss_inverse(X: Matrix) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def matrix_A(N: int) -> Matrix:
-    return [
-        [Fraction(factorial(j)) if j == k else Fraction(0) for k in range(N)]
-        for j in range(N)
-    ]
+def _lambda_rows(N: int) -> IntMatrix:
+    """Endpoint traces of the monomials x^k, k < 2N, on [0, 1]: the j-th
+    derivatives at 0, then at 1."""
+    n = 2 * N
+    at_0 = [[factorial(j) if k == j else 0 for k in range(n)] for j in range(N)]
+    at_1 = [[perm(k, j) for k in range(n)] for j in range(N)]
+    return at_0 + at_1
 
 
-def matrix_A_inverse(N: int) -> Matrix:
-    return [
-        [Fraction(1, factorial(j)) if j == k else Fraction(0) for k in range(N)]
-        for j in range(N)
-    ]
-
-
-def matrix_C(N: int) -> Matrix:
-    # derivatives of the first N monomials at the right endpoint of [0, 1]
-    return [
-        [Fraction(factorial(k)) * inv_factorial(k - j) for k in range(N)]
-        for j in range(N)
-    ]
+def lambda_matrix_exact(N: int) -> Matrix:
+    """Endpoint-trace matrix of the monomial basis on [0, 1], block form
+    [[A, 0], [C, D]]."""
+    return _fractions(_lambda_rows(N), 1)
 
 
 def matrix_D(N: int) -> Matrix:
-    return [
-        [Fraction(factorial(N + k)) * inv_factorial(N + k - j) for k in range(N)]
-        for j in range(N)
-    ]
+    return [row[N:] for row in lambda_matrix_exact(N)[N:]]
+
+
+def _binomial_sums(N: int) -> IntMatrix:
+    """S[j][k] = sum_l C(l-1, j-1) C(N-1+l-k, N-1), l = 1..N (1-based): the
+    binomial sum inside both D^-1 and D^-1 C A^-1."""
+    ks = range(1, N + 1)
+    return [[sum(comb(l - 1, j - 1) * comb(N - 1 + l - k, N - 1) for l in ks) for k in ks]
+            for j in ks]
+
+
+def _d_inverse_rows(N: int, S: IntMatrix) -> IntMatrix:
+    """(N-1)! D^-1: entry (j, k) is (-1)^(j+k) (N-1)!/(k-1)! S[j][k]."""
+    f = factorial(N - 1)
+    return [[(-1) ** (j + k) * (f // factorial(k)) * S[j][k] for k in range(N)]
+            for j in range(N)]
+
+
+def _coupling_block(N: int, S: IntMatrix) -> IntMatrix:
+    """(N-1)! times the block D^-1 C A^-1, the double binomial sum
+    sum_r (-1)^(j+r) S[j][r] / ((r-1)! (k-r)!) (1-based)."""
+    f = factorial(N - 1)
+    return [[f // factorial(k) * sum((-1) ** (j + r) * comb(k, r) * S[j][r] for r in range(k + 1))
+             for k in range(N)] for j in range(N)]
 
 
 def matrix_D_inverse(N: int) -> Matrix:
@@ -160,69 +190,34 @@ def matrix_D_inverse(N: int) -> Matrix:
     ``lambda_inverse`` checks is D D^-1 = I, and for a square matrix a
     one-sided inverse is two-sided.
     """
-    out = _zeros(N)
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            total = Fraction(0)
-            for ell in range(1, N + 1):
-                total += (
-                    (-1) ** (j + k)
-                    * inv_factorial(k - 1)
-                    * binom(ell - 1, j - 1)
-                    * binom(N - 1 + ell - k, ell - k)
-                )
-            out[j - 1][k - 1] = total
-    return out
+    return _fractions(_d_inverse_rows(N, _binomial_sums(N)), factorial(N - 1))
 
 
-def _coupling_block(N: int) -> Matrix:
-    """The block D^-1 C A^-1 as a double binomial sum."""
-    out = _zeros(N)
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            total = Fraction(0)
-            for r in range(1, N + 1):
-                fr = inv_factorial(r - 1) * inv_factorial(k - r)
-                if fr == 0:
-                    continue
-                for ell in range(1, N + 1):
-                    total += (
-                        (-1) ** (j + r)
-                        * fr
-                        * binom(ell - 1, j - 1)
-                        * binom(N + ell - r - 1, N - 1)
-                    )
-            out[j - 1][k - 1] = total
-    return out
-
-
-def lambda_matrix_exact(N: int) -> Matrix:
-    """Endpoint-trace matrix of the monomial basis on [0, 1], block form
-    [[A, 0], [C, D]]."""
-    A, C, D = matrix_A(N), matrix_C(N), matrix_D(N)
-    out = _zeros(2 * N)
-    for j in range(N):
-        for k in range(N):
-            out[j][k] = A[j][k]
-            out[N + j][k] = C[j][k]
-            out[N + j][N + k] = D[j][k]
-    return out
+def _lambda_inverse_rows(N: int) -> IntMatrix:
+    """(N-1)! Lambda^-1, the block assembly [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+    verified exactly against Lambda Lambda^-1 = I."""
+    f = factorial(N - 1)
+    S = _binomial_sums(N)
+    rows = [[f // factorial(j) if k == j else 0 for k in range(2 * N)] for j in range(N)]
+    rows += [[-x for x in X] + D for X, D in zip(_coupling_block(N, S), _d_inverse_rows(N, S))]
+    eye = [[f * (i == j) for j in range(2 * N)] for i in range(2 * N)]
+    if mat_mul(_lambda_rows(N), rows) != eye:
+        raise AssertionError("block inverse failed the defining identity")
+    return rows
 
 
 def lambda_inverse(N: int) -> Matrix:
     """Block assembly [[A^-1, 0], [-D^-1 C A^-1, D^-1]], verified exactly."""
-    A_inv = matrix_A_inverse(N)
-    D_inv = matrix_D_inverse(N)
-    X = _coupling_block(N)
-    out = _zeros(2 * N)
-    for j in range(N):
-        for k in range(N):
-            out[j][k] = A_inv[j][k]
-            out[N + j][k] = -X[j][k]
-            out[N + j][N + k] = D_inv[j][k]
-    if mat_mul(lambda_matrix_exact(N), out) != mat_eye(2 * N):
-        raise AssertionError("block inverse failed the defining identity")
-    return out
+    return _fractions(_lambda_inverse_rows(N), factorial(N - 1))
+
+
+def _derivative_rows(n: int, orders, u: Fraction) -> Scaled:
+    """The rows that take the coefficients of a polynomial sum_l c_l t^l,
+    l < n, to its derivatives of the given orders at t = u = p/q, over
+    the one denominator q^(n-1)."""
+    p, q = u.numerator, u.denominator
+    return [[perm(l, m) * p ** (l - m) * q ** (n - 1 - l + m) if l >= m else 0
+             for l in range(n)] for m in orders], q ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -239,15 +234,9 @@ class ScaledBasis:
     coeffs: Matrix
 
     def derivative_at(self, k: int, order: int, x) -> Fraction:
-        u = x - self.a
-        total = Fraction(0)
-        for ell in range(order, 2 * self.N):
-            c = self.coeffs[ell][k - 1]
-            if c == 0:
-                continue
-            fall = factorial(ell) // factorial(ell - order)
-            total += c * fall * u ** (ell - order)
-        return total
+        (column,), den = _over([[row[k - 1] for row in self.coeffs]])
+        (weights,), scale = _derivative_rows(2 * self.N, [order], Fraction(x) - self.a)
+        return Fraction(sum(map(mul, weights, column)), scale * den)
 
 
 def _interval_data(interval):
@@ -256,21 +245,27 @@ def _interval_data(interval):
     return Fraction(a), Fraction(b) - Fraction(a)
 
 
+def _h_powers(h: Fraction, N: int) -> dict:
+    """e -> h^e as an integer over (pq)^(2N-1), for h = p/q and
+    |e| <= 2N-1; the entry at e = 0 is that denominator."""
+    p, q, E = h.numerator, h.denominator, 2 * N - 1
+    return {e: p ** (E + e) * q ** (E - e) for e in range(-E, E + 1)}
+
+
+def _scaled_rows(N: int, L: IntMatrix, hp: dict) -> IntMatrix:
+    """Coefficients of the basis on an interval of length h, over
+    (N-1)! (pq)^(2N-1): column c of the [0, 1] basis (L over (N-1)!) is
+    scaled by h^(c mod N) and its coefficient l by h^-l."""
+    return [[v * hp[c % N - l] for c, v in enumerate(row)] for l, row in enumerate(L)]
+
+
 def phi_on_interval(N: int, interval) -> ScaledBasis:
     """The 2N boundary-interpolation polynomials on the interval: the j-th
     derivative at a and b hits the standard basis pattern."""
-    return _scale_basis(N, lambda_inverse(N), interval)
-
-
-def _scale_basis(N: int, base: Matrix, interval) -> ScaledBasis:
-    """Carry the [0, 1] basis with coefficients ``base`` to the interval."""
     a, h = _interval_data(interval)
-    coeffs = [[None] * (2 * N) for _ in range(2 * N)]
-    for k in range(1, 2 * N + 1):
-        scale = h ** (k - 1) if k <= N else h ** (k - N - 1)
-        for ell in range(1, 2 * N + 1):
-            coeffs[ell - 1][k - 1] = scale * base[ell - 1][k - 1] * h ** (1 - ell)
-    return ScaledBasis(N=N, a=a, length=h, coeffs=coeffs)
+    hp = _h_powers(h, N)
+    rows = _scaled_rows(N, _lambda_inverse_rows(N), hp)
+    return ScaledBasis(N=N, a=a, length=h, coeffs=_fractions(rows, factorial(N - 1) * hp[0]))
 
 
 def phi_blocks(N: int, interval):
@@ -287,47 +282,40 @@ def phi_blocks(N: int, interval):
     basis.
     """
     a, h = _interval_data(interval)
-    L = lambda_inverse(N)
+    hp = _h_powers(h, N)
+    L = _lambda_inverse_rows(N)
     minus_X = [row[:N] for row in L[N:]]
     D_inv = [row[N:] for row in L[N:]]
-    E = [[factorial(N + s) * inv_factorial(s - j) for s in range(N)] for j in range(N)]
+    E = [[perm(N + s, N + j) for s in range(N)] for j in range(N)]
     # 0-based j, k: (N-1+j)! becomes (N+j)!, h^-(N-k+j) keeps its exponent
     fact = [factorial(N + j) for j in range(N)]
-    ones = [1] * N
 
-    def scaled(weights, Y):
-        return [[weights[j] * Y[j][k] / h ** (N - k + j) for k in range(N)]
-                for j in range(N)]
+    def scaled(Y, weights=(1,) * N):
+        return [[weights[j] * Y[j][k] * hp[k - N - j] for k in range(N)] for j in range(N)]
 
-    phi0_a = scaled(fact, minus_X)
-    phiN_a = scaled(fact, D_inv)
-    phi0_b = scaled(ones, mat_mul(E, minus_X))
-    phiN_b = scaled(ones, mat_mul(E, D_inv))
+    blocks = (scaled(minus_X, fact), scaled(mat_mul(E, minus_X)),
+              scaled(D_inv, fact), scaled(mat_mul(E, D_inv)))
+    # the blocks and the scaled basis share this denominator
+    den = factorial(N - 1) * hp[0]
+    basis = _scaled_rows(N, L, hp)
+    for u, (Y0, YN) in ((Fraction(0), blocks[::2]), (h, blocks[1::2])):
+        W, scale = _derivative_rows(2 * N, range(N, 2 * N), u)
+        closed = [r0 + rN for r0, rN in zip(Y0, YN)]
+        if not _equal((closed, den), (mat_mul(W, basis), scale * den)):
+            raise AssertionError(f"closed-form blocks differ from the basis at x = {a + u}")
+    return tuple(_fractions(B, den) for B in blocks)
 
-    basis = _scale_basis(N, L, interval)
-    b = a + h
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            pairs = (
-                (phi0_a[j - 1][k - 1], basis.derivative_at(k, N + j - 1, a)),
-                (phi0_b[j - 1][k - 1], basis.derivative_at(k, N + j - 1, b)),
-                (phiN_a[j - 1][k - 1], basis.derivative_at(N + k, N + j - 1, a)),
-                (phiN_b[j - 1][k - 1], basis.derivative_at(N + k, N + j - 1, b)),
-            )
-            if any(closed != direct for closed, direct in pairs):
-                raise AssertionError(f"closed-form block mismatch at (j={j}, k={k})")
-    return phi0_a, phi0_b, phiN_a, phiN_b
+
+def _toeplitz_rows(N: int, hp: dict) -> Scaled:
+    """T_K over (2N-1)! (pq)^(2N-1); ``hp`` from ``_h_powers``."""
+    n = 2 * N
+    return [[factorial(n - 1) // factorial(k - j) * hp[k - j] if k >= j else 0 for k in range(n)]
+            for j in range(n)], factorial(n - 1) * hp[0]
 
 
 def toeplitz_TK(N: int, interval) -> Matrix:
     """Upper triangular Toeplitz transfer matrix, entries h^(k-j)/(k-j)!."""
-    _, h = _interval_data(interval)
-    n = 2 * N
-    return [
-        [h ** (k - j) * inv_factorial(k - j) if k >= j else Fraction(0)
-         for k in range(n)]
-        for j in range(n)
-    ]
+    return _fractions(*_toeplitz_rows(N, _h_powers(_interval_data(interval)[1], N)))
 
 
 def verify_factorization(N: int, interval) -> bool:
@@ -341,17 +329,17 @@ def verify_factorization(N: int, interval) -> bool:
     [-phiN_b, I]], the four N x N blocks of B_K T_K - A_K are exactly these
     identities, so they are the full product identity B_K T_K = A_K.
     """
-    phi0_a, phi0_b, phiN_a, phiN_b = phi_blocks(N, interval)
-    tk = toeplitz_TK(N, interval)
-    T1 = [row[:N] for row in tk[:N]]
-    T2 = [row[N:] for row in tk[:N]]
+    phi0_a, phi0_b, phiN_a, phiN_b = (_over(B) for B in phi_blocks(N, interval))
+    tk, den = _toeplitz_rows(N, _h_powers(_interval_data(interval)[1], N))
+    T1, T2 = ([row[:N] for row in tk[:N]], den), ([row[N:] for row in tk[:N]], den)
+    eye = ([[int(i == j) for j in range(N)] for i in range(N)], 1)
 
-    def neg(X):
-        return [[-v for v in row] for row in X]
+    def times(X, Y, sign=1):
+        return mat_mul(X[0], Y[0]), sign * X[1] * Y[1]
 
     return (
-        mat_mul(neg(phiN_a), T1) == phi0_a
-        and mat_mul(neg(phiN_b), T1) == phi0_b
-        and mat_mul(phiN_a, T2) == mat_eye(N)
-        and mat_mul(phiN_b, T2) == T1
+        _equal(times(phiN_a, T1, -1), phi0_a)
+        and _equal(times(phiN_b, T1, -1), phi0_b)
+        and _equal(times(phiN_a, T2), eye)
+        and _equal(times(phiN_b, T2), T1)
     )

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -121,6 +123,16 @@ class TestComputeCommand:
         assert positivity["certified_strictly_positive"] is True
         assert abs(positivity["lambda_min"] - np.pi**2) <= 1e-5
 
+    def test_negative_left_endpoint_as_its_own_argument(self, capsys):
+        # '--interval -1,1' is read as '--interval=-1,1', not as an option
+        reports = []
+        for interval in (["--interval", "-1,1"], ["--interval=-1,1"]):
+            args = ["compute", "--preset", "pure", "--order", "2", *interval, "--task", "krein"]
+            assert run_cli(args) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["operator"]["interval"] == [-1, 1]
+
     def test_pure_order_10(self, tmp_path):
         # T_K = Psi(b; 0) keeps order 10 on its closed form, and the unit-row
         # rank test sees the Krein and Friedrichs pairs as relatively prime
@@ -199,6 +211,25 @@ class TestClosedFormCommand:
         assert section["factorization_ok"]
         assert section["order"] == 6
         assert section["T_K"][0][1] == "1"
+
+    def test_negative_left_endpoint_as_its_own_argument(self, capsys):
+        reports = []
+        for interval in (["--interval", "-0.5,2"], ["--interval=-0.5,2"]):
+            assert run_cli(["closed-form", "--order", "4", *interval]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["closed_form"]["T_K"][0][1] == "5/2"
+
+    def test_order_20_on_a_rational_interval(self, capsys):
+        # decimal endpoints are read as decimal rationals: h = 3.25 - 0.5
+        assert run_cli(["closed-form", "--order", "20", "--interval", "0.5,3.25"]) == 0
+        section = json.loads(capsys.readouterr().out)["closed_form"]
+        assert section["factorization_ok"] is True
+        h = Fraction(11, 4)
+        assert section["T_K"] == [
+            [str(h ** (k - j) / factorial(k - j)) if k >= j else "0" for k in range(20)]
+            for j in range(20)
+        ]
 
 
 class TestConfigFile:
@@ -344,6 +375,8 @@ class TestExitCodes:
             ("[operator]\norder = 4\ninterval = 0, 0\n", ["--task", "closed-form"]),
             ("[operator]\norder = 4\ninterval = 0, inf\n", ["--task", "closed-form"]),
             ("[operator]\norder = 4\ninterval = 1, 0\n", ["--task", "closed-form"]),
+            (None, ["closed-form", "--order", "4", "--interval"]),
+            (None, ["compute", "--preset", "pure", "--interval", "--order", "2"]),
             *((config, []) for config in UNREAD_KEYS.values()),
             *((None, args) for _, _, args in UNREAD_SETTINGS),
         ],
@@ -351,6 +384,7 @@ class TestExitCodes:
              "block_size_0", "reversed_interval", "infinite_interval",
              "closed_form_order_0", "closed_form_order_negative", "closed_form_empty_interval",
              "closed_form_infinite_interval", "closed_form_reversed_interval",
+             "interval_value_missing", "interval_value_is_a_flag",
              "unread_coefficient_key", "unread_tolerance_key", "unread_explicit_key",
              "unknown_section", *(case for case, _, _ in UNREAD_SETTINGS)],
     )

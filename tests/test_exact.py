@@ -2,7 +2,7 @@
 closed-form inverses, boundary bases, and the Toeplitz factorization."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -43,15 +43,30 @@ class TestCombinatorialIdentities:
 
 
 class TestClosedFormInverses:
-    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("N", range(1, 11))
     def test_d_inverse_matches_elimination_oracle(self, N):
         assert exact.matrix_D_inverse(N) == exact.gauss_inverse(exact.matrix_D(N))
 
-    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("N", range(1, 11))
     def test_lambda_inverse_matches_elimination_oracle(self, N):
         assert exact.lambda_inverse(N) == exact.gauss_inverse(
             exact.lambda_matrix_exact(N)
         )
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 1)])
+    @pytest.mark.parametrize("builder", ["_coupling_block", "_d_inverse_rows"])
+    def test_wrong_entry_fails_the_defining_identity(self, monkeypatch, builder, entry):
+        # one integer entry of (N-1)! Lambda^-1 off by one before the check
+        closed_form = getattr(exact, builder)
+
+        def perturbed(N, S):
+            rows = closed_form(N, S)
+            rows[entry[0]][entry[1]] += 1
+            return rows
+
+        monkeypatch.setattr(exact, builder, perturbed)
+        with pytest.raises(AssertionError, match="defining identity"):
+            exact.lambda_inverse(3)
 
     def test_gauss_inverse_rejects_singular(self):
         with pytest.raises(ZeroDivisionError):
@@ -110,6 +125,19 @@ class TestPhiBlocks:
         for num, exa in zip(numeric, closed):
             assert_allclose(num, np.array(exa, dtype=float), 1e-7)
 
+    def test_wrong_basis_fails_the_cross_check(self, monkeypatch):
+        # a basis coefficient that a derivative of order N..2N-1 reads
+        scaled_rows = exact._scaled_rows
+
+        def perturbed(N, L, hp):
+            rows = scaled_rows(N, L, hp)
+            rows[-1][0] += 1
+            return rows
+
+        monkeypatch.setattr(exact, "_scaled_rows", perturbed)
+        with pytest.raises(AssertionError, match="differ from the basis"):
+            exact.phi_blocks(2, (Fraction(1, 3), Fraction(7, 2)))
+
     def test_float_interval_is_exact(self):
         # a float endpoint is taken at its exact binary value
         h = Fraction(np.sqrt(2.0))
@@ -151,7 +179,7 @@ class TestFactorization:
         monkeypatch.setattr(exact, "phi_blocks", perturbed)
         assert not exact.verify_factorization(2, interval)
 
-    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("N", range(1, 11))
     def test_reference_interval(self, N):
         assert exact.verify_factorization(N, (0, 1))
 
@@ -163,3 +191,21 @@ class TestFactorization:
     def test_irrational_interval(self, N):
         # float endpoints are taken at their exact binary values
         assert exact.verify_factorization(N, (0.0, np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize(
+    "interval", [(0, 1), (Fraction(-1, 2), Fraction(5, 3)), (0.0, np.sqrt(2.0))]
+)
+@pytest.mark.parametrize("N", [1, 4, 7])
+def test_results_are_fractions_in_lowest_terms(N, interval):
+    matrices = [
+        exact.lambda_inverse(N),
+        exact.matrix_D_inverse(N),
+        exact.toeplitz_TK(N, interval),
+        exact.phi_on_interval(N, interval).coeffs,
+        *exact.phi_blocks(N, interval),
+    ]
+    for matrix in matrices:
+        for v in (v for row in matrix for v in row):
+            assert type(v) is Fraction, v
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1, v
