@@ -39,9 +39,9 @@ from .errors import (
 )
 from .integration import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, fundamental_matrix
 from .system import (
-    Interval,
     MatrixFn,
     ShinZettlSystem,
+    _as_interval,
     preset_four_coeff,
     preset_fourth_order,
     preset_pure,
@@ -64,7 +64,7 @@ class JobConfig:
     preset: Optional[str] = None
     order: Optional[int] = None
     block_size: Optional[int] = None  # unset is M = 1
-    interval: Optional[tuple] = None
+    interval: Optional[tuple] = None  # exact endpoints (Fractions)
     coefficients: dict = field(default_factory=dict)  # p, q, r, s or W / Z.j.k
     tasks: list = field(default_factory=list)
     rel_tol: float = DEFAULT_REL_TOL
@@ -104,8 +104,9 @@ def _checked(convert, ok):
 
 
 def _parse_interval(text: str) -> tuple:
-    a, b = map(float, text.replace(",", " ").split())
-    Interval(a, b)  # finite, a < b
+    """The endpoints as exact rationals: decimals of any length and p/q."""
+    a, b = map(Fraction, text.replace(",", " ").split())
+    _as_interval((a, b))  # finite, a < b
     return a, b
 
 
@@ -119,7 +120,8 @@ SETTINGS = {
     "order": Setting("operator", "--order", "an even integer 2N >= 2", int),
     "block_size": Setting("operator", "--block-size", "an integer M >= 1",
                           _checked(int, lambda m: m >= 1)),
-    "interval": Setting("operator", "--interval", "'a,b' with finite a < b", _parse_interval),
+    "interval": Setting("operator", "--interval", "'a,b' with finite a < b (decimals or p/q)",
+                       _parse_interval),
     "rel_tol": Setting("tolerances", "--rel-tol", "a number in (0, 1)", _tolerance),
     "abs_tol": Setting("tolerances", "--abs-tol", "a number in (0, 1)", _tolerance),
     "lambda_max": Setting("tolerances", "--lambda-max", "a scan bound in (0, inf)",
@@ -134,7 +136,7 @@ def _read(name: str, text: str):
     """The checked value of setting ``name`` given as ``text``."""
     try:
         return SETTINGS[name].parse(text)
-    except (ValueError, StructureError) as exc:
+    except (ValueError, ArithmeticError, StructureError) as exc:
         raise ConfigError(f"{name} must be {SETTINGS[name].accepts}, got {text!r}") from exc
 
 
@@ -217,7 +219,7 @@ def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
             raise ConfigError(f"coefficient key {key!r} out of range")
         entries[j - 1][k - 1] = MatrixFn.scalar(value)
     W = MatrixFn.scalar(cfg.coefficients.get("W", "1"))
-    return ShinZettlSystem(M=1, N=N, interval=Interval(*interval), W=W, Z=entries)
+    return ShinZettlSystem(M=1, N=N, interval=_as_interval(interval), W=W, Z=entries)
 
 
 def _validation_section(report) -> dict:
@@ -254,8 +256,7 @@ def run(cfg: JobConfig):
             raise ConfigError(f"the closed-form task reads no preset {cfg.preset!r}")
         _check_reads(cfg, "pure", "the closed-form task")
         N = _half_order(cfg.order, "closed-form task")
-        # decimal endpoints are treated as exact rationals here
-        interval = tuple(Fraction(str(v)) for v in (cfg.interval or (0, 1)))
+        interval = cfg.interval or (0, 1)
         ok = exact.verify_factorization(N, interval)
         tk = exact.toeplitz_TK(N, interval)
         report["closed_form"] = {

@@ -10,33 +10,37 @@ Grammar (whitespace insignificant, '^' right-associative)::
 
 Known identifiers are the variable ``x``, the constants ``pi``, ``e``,
 ``i``, and the unary functions listed in ``FUNCTIONS``.  Anything else is
-rejected at parse time.  Evaluation is IEEE double complex with principal
-branches; non-finite results raise :class:`EvaluationError` instead of
-propagating silently.
+rejected at parse time.  Evaluation is numpy double complex arithmetic
+with principal branches, at one point or at a whole array of points in one
+walk of the tree; negative zeros are cleared after every node, and
+non-finite results raise :class:`EvaluationError` instead of propagating
+silently.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import EvaluationError, ExprSyntaxError
 
 FUNCTIONS = {
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "tan": cmath.tan,
-    "exp": cmath.exp,
-    "log": cmath.log,
-    "sqrt": cmath.sqrt,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "tanh": cmath.tanh,
-    "abs": abs,
-    "conj": lambda z: z.conjugate(),
+    name: getattr(np, name)
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "abs", "conj")
+}
+
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
 }
 
 CONSTANTS = {
@@ -44,6 +48,8 @@ CONSTANTS = {
     "e": complex(math.e),
     "i": 1j,
 }
+
+_ZERO = np.complex128(0)
 
 
 @dataclass(frozen=True)
@@ -223,55 +229,54 @@ def references_x(ast: ExprAst) -> bool:
     return False
 
 
-def evaluate(ast: ExprAst, x: float) -> complex:
-    """Evaluate an AST at a real point ``x``.
+def evaluate(ast: ExprAst, x=None):
+    """Evaluate an AST at a real point ``x``, or at every point of an array
+    ``x`` in one walk of the tree; ``None`` evaluates an expression free of x.
 
-    Raises :class:`EvaluationError` (carrying ``x`` and the offending
-    subexpression) if any intermediate value is non-finite or undefined.
+    The value is complex, of x's shape.  Raises :class:`EvaluationError`
+    (carrying the offending subexpression and, in array order, the first
+    point where the value is non-finite or undefined).
     """
-    value = _eval(ast, x)
+    with np.errstate(all="ignore"):
+        try:
+            value = _eval(ast, x)
+        except EvaluationError:
+            if not isinstance(x, np.ndarray):
+                raise
+            # the error is the one of the first point where evaluation fails
+            for point in x.ravel().tolist():
+                _eval(ast, point)
+            raise
+    if isinstance(x, np.ndarray) and not isinstance(value, np.ndarray):  # free of x
+        return np.full(x.shape, value)
     return value
 
 
-def _check(value: complex, ast: ExprAst, x: float) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise EvaluationError("non-finite result", x=x, source=pretty(ast))
-    return value
+def _checked(value, ast: ExprAst, x):
+    """``value`` if it is finite at every point; cmath checks a scalar, on
+    which numpy is much slower."""
+    if np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value):
+        return value
+    point = None if x is None or isinstance(x, np.ndarray) else float(x)
+    raise EvaluationError("non-finite result", x=point, source=pretty(ast))
 
 
-def _eval(ast: ExprAst, x: float) -> complex:
+def _eval(ast: ExprAst, x):
     if isinstance(ast, Num):
-        return complex(ast.value)
-    if isinstance(ast, Var):
-        return complex(x)
-    if isinstance(ast, Const):
-        return CONSTANTS[ast.name]
-    if isinstance(ast, Neg):
+        value = ast.value
+    elif isinstance(ast, Var):
+        value = x
+    elif isinstance(ast, Const):
+        value = CONSTANTS[ast.name]
+    elif isinstance(ast, Neg):
         value = -_eval(ast.child, x)
-        # adding 0.0 clears negative zeros so branch cuts stay principal
-        return complex(value.real + 0.0, value.imag + 0.0)
-    if isinstance(ast, BinOp):
-        left = _eval(ast.left, x)
-        right = _eval(ast.right, x)
-        try:
-            if ast.op == "+":
-                value = left + right
-            elif ast.op == "-":
-                value = left - right
-            elif ast.op == "*":
-                value = left * right
-            elif ast.op == "/":
-                value = left / right
-            else:
-                value = left ** right
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(str(exc), x=x, source=pretty(ast)) from exc
-        return _check(complex(value), ast, x)
-    if isinstance(ast, Call):
-        arg = _eval(ast.arg, x)
-        try:
-            value = FUNCTIONS[ast.name](arg)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(str(exc), x=x, source=pretty(ast)) from exc
-        return _check(complex(value), ast, x)
-    raise TypeError(f"not an AST node: {ast!r}")
+    elif isinstance(ast, BinOp):
+        value = _checked(OPERATORS[ast.op](_eval(ast.left, x), _eval(ast.right, x)), ast, x)
+    elif isinstance(ast, Call):
+        value = _checked(FUNCTIONS[ast.name](_eval(ast.arg, x)), ast, x)
+    else:
+        raise TypeError(f"not an AST node: {ast!r}")
+    # adding a complex zero makes every value numpy complex, the leaves and
+    # abs included, and clears negative zeros, so that every real
+    # intermediate stays on the principal branch
+    return value + _ZERO

@@ -13,15 +13,16 @@ Z[N][N+1].  The conditions hold pointwise for the piecewise-continuous
 coefficients supported here and are verified on a Chebyshev sample grid.
 
 Each matrix function is compiled once, when it is built, into an array of
-its constant entries plus the short list of its x-dependent entries, and a
-system compiles its whole grid Z into one 2MN x 2MN function
-(``ShinZettlSystem.coefficients``).  Everything downstream reads that one
-representation: the validation samples it once at all points, and the
-companion matrix is S(x; lambda) = S0(x) + lambda E(x), with S0 the
-block-lower-Hessenberg part of the grid and E(x) the weight term.  Both
-parts take an array of points, so one sample of them serves every lambda;
-a system keeps the samples the propagator takes of them (``_samples``)
-for its lifetime.
+its constant entries plus the short list of its x-dependent entries; a call
+evaluates each x-dependent entry once, at one point or at a whole array of
+points, in one numpy walk of its expression tree.  A system compiles its
+whole grid Z into one 2MN x 2MN function (``ShinZettlSystem.coefficients``).
+Everything downstream reads that one representation: the validation
+samples it once at all points, and the companion matrix is
+S(x; lambda) = S0(x) + lambda E(x), with S0 the block-lower-Hessenberg
+part of the grid and E(x) the weight term.  Both parts take an array of
+points, so one sample of them serves every lambda; a system keeps the
+samples the propagator takes of them (``_samples``) for its lifetime.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class MatrixFn:
 
     Entries are complex constants or parsed expression ASTs; an expression
     free of x is folded to its value.  The constants form one array, and
-    only the x-dependent ``(j, k, ast)`` entries are evaluated at a point.
-    Instances are immutable; evaluation is pure.
+    only the x-dependent ``(j, k, ast)`` entries are evaluated, each once
+    per call for all of its points.  Instances are immutable; evaluation is
+    pure.
     """
 
     def __init__(self, entries):
@@ -117,24 +119,16 @@ class MatrixFn:
 
     def __call__(self, x) -> np.ndarray:
         """The value at a point x; an array of points gives shape
-        x.shape + (rows, cols), each x-dependent entry evaluated once per point."""
-        if not isinstance(x, np.ndarray):
-            out = self._const.copy()
-            for j, k, ast in self._varying:
-                out[j, k] = self._evaluate(ast, j, k, x)
-            return out
-        points = x.ravel().tolist()
-        out = np.repeat(self._const[np.newaxis], len(points), axis=0)
-        for j, k, ast in self._varying:
-            out[:, j, k] = [self._evaluate(ast, j, k, p) for p in points]
-        return out.reshape(x.shape + self._const.shape)
-
-    @staticmethod
-    def _evaluate(ast, j: int, k: int, x: float) -> complex:
+        x.shape + (rows, cols), each x-dependent entry evaluated once for
+        all points."""
+        out = np.empty(np.asarray(x).shape + self._const.shape, dtype=complex)
+        out[...] = self._const
         try:
-            return ex.evaluate(ast, x)
+            for j, k, ast in self._varying:
+                out[..., j, k] = ex.evaluate(ast, x)
         except EvaluationError as exc:
-            raise EvaluationError(f"entry ({j + 1},{k + 1}): {exc}", x=x) from exc
+            raise EvaluationError(f"entry ({j + 1},{k + 1}): {exc}") from exc
+        return out
 
     def conj_transpose(self) -> "MatrixFn":
         grid = self._const.conj().T.tolist()
@@ -153,10 +147,8 @@ def as_matrix_fn(value, m: int = 1) -> MatrixFn:
     """Coerce a scalar, expression string, array, or MatrixFn to a MatrixFn."""
     if isinstance(value, MatrixFn):
         return value
-    if isinstance(value, str):  # expr * I_m
-        return MatrixFn([[value if j == k else 0.0 for k in range(m)] for j in range(m)])
-    if isinstance(value, Number):
-        return MatrixFn.constant(np.eye(m) * complex(value)) if m > 1 else MatrixFn.scalar(value)
+    if isinstance(value, (str, Number)):  # value * I_m
+        return MatrixFn([[value if j == k else 0 for k in range(m)] for j in range(m)])
     return MatrixFn.constant(value)
 
 
@@ -372,8 +364,8 @@ def preset_four_coeff(p, q, r, s, interval, M: int = 1) -> ShinZettlSystem:
     """Generalized four-coefficient Sturm-Liouville system (N = 1).
 
     The coefficient grid is [[-s, p^-1], [q, s*]] with weight r.  For M = 1
-    the inverse of p is formed symbolically (1/p); for M > 1 the
-    coefficients must be constant matrices.
+    the inverse of p is formed symbolically (1/p); for M > 1 p must be a
+    constant matrix, while q, r and s may depend on x.
     """
     interval = _as_interval(interval)
     p = as_matrix_fn(p, M)

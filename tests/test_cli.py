@@ -231,6 +231,31 @@ class TestClosedFormCommand:
             for j in range(20)
         ]
 
+    @pytest.mark.parametrize("order, interval, h", [
+        (2, "0,0.12345678901234567890123", "12345678901234567890123/100000000000000000000000"),
+        (4, "0,1/3", "1/3"),
+    ])
+    def test_endpoints_are_read_exactly(self, capsys, order, interval, h):
+        # a decimal of any length and p/q reach the exact suite as typed
+        assert run_cli(["closed-form", "--order", str(order), "--interval", interval]) == 0
+        section = json.loads(capsys.readouterr().out)["closed_form"]
+        assert section["factorization_ok"] is True
+        h = Fraction(h)
+        assert section["T_K"] == [
+            [str(h ** (k - j) / factorial(k - j)) if k >= j else "0" for k in range(order)]
+            for j in range(order)
+        ]
+
+    def test_numeric_operators_read_a_rational_interval_as_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[operator]\norder = 2\ninterval = 0, 1/4\nZ.1.2 = 1\nZ.2.1 = 1\n")
+        assert run_cli(["compute", "--config", str(cfg), "--task", "validate"]) == 0
+        assert json.loads(capsys.readouterr().out)["operator"]["interval"] == [0.0, 0.25]
+        code = run_cli(["compute", "--preset", "pure", "--order", "2", "--interval", "-1/2,1/3",
+                        "--task", "validate"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["operator"]["interval"] == [-0.5, 1 / 3]
+
 
 class TestConfigFile:
     def test_preset_from_config(self, tmp_path):
@@ -370,6 +395,9 @@ class TestExitCodes:
              ["--interval", "1,0"]),
             ("[operator]\npreset = pure\norder = 2\ninterval = 0, 1\n",
              ["--interval", "0,inf"]),
+            (None, ["closed-form", "--order", "4", "--interval", "0,nan"]),
+            (None, ["closed-form", "--order", "4", "--interval", "0,1/0"]),
+            (None, ["closed-form", "--order", "4", "--interval", "0,1e400"]),
             ("[operator]\norder = 0\ninterval = 0, 1\n", ["--task", "closed-form"]),
             ("[operator]\norder = -2\ninterval = 0, 1\n", ["--task", "closed-form"]),
             ("[operator]\norder = 4\ninterval = 0, 0\n", ["--task", "closed-form"]),
@@ -382,6 +410,7 @@ class TestExitCodes:
         ],
         ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
              "block_size_0", "reversed_interval", "infinite_interval",
+             "nan_interval", "zero_denominator_interval", "overflowing_interval",
              "closed_form_order_0", "closed_form_order_negative", "closed_form_empty_interval",
              "closed_form_infinite_interval", "closed_form_reversed_interval",
              "interval_value_missing", "interval_value_is_a_flag",

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +95,21 @@ class TestEvaluation:
     def test_principal_sqrt(self):
         assert abs(ex.evaluate(ex.parse("sqrt(-1)"), 0.0) - 1j) < 1e-15
 
+    @pytest.mark.parametrize("text,x", [("sqrt(x*x-8)", -2.0), ("sqrt(x^2-8)", -2.0),
+                                        ("sqrt(conj(-4))", None)])
+    def test_real_intermediates_stay_on_the_principal_branch(self, text, x):
+        # x*x, x^2 and conj(-4) are real: a negative zero imaginary part left
+        # by the arithmetic would put sqrt on the other side of its cut
+        assert ex.evaluate(ex.parse(text), x) == 2j
+
+    def test_zero_to_a_complex_power_is_zero(self):
+        # numpy's power, unlike Python's, defines 0^z = 0 for Re z > 0
+        assert ex.evaluate(ex.parse("0^(1+i)")) == 0
+
+    def test_zero_to_a_negative_power_is_undefined(self):
+        with pytest.raises(EvaluationError):
+            ex.evaluate(ex.parse("0^(-1)"))
+
     def test_division_by_zero(self):
         with pytest.raises(EvaluationError) as err:
             ex.evaluate(ex.parse("1/x"), 0.0)
@@ -117,10 +133,24 @@ class TestEvaluation:
             ("abs(-3)", 0.0, 3.0),
             ("e^x", 1.0, math.e),
             ("pi/pi", 0.5, 1.0),
+            ("log(-1)", 0.0, math.pi * 1j),
         ],
     )
     def test_values(self, text, x, expected):
         assert abs(ex.evaluate(ex.parse(text), x) - expected) < 1e-12
+
+    def test_array_of_points(self):
+        xs = np.array([[0.0, 1.0], [2.0, -3.0]])
+        assert np.array_equal(ex.evaluate(ex.parse("x^2+1"), xs), xs**2 + 1)
+        # an expression free of x takes the shape of the points too
+        assert np.array_equal(ex.evaluate(ex.parse("2*pi"), xs), np.full(xs.shape, 2 * np.pi))
+
+    def test_array_error_names_the_first_bad_point(self):
+        # the right term fails first in array order, the left one first in the tree
+        with pytest.raises(EvaluationError) as err:
+            ex.evaluate(ex.parse("1/(x-1) + 1/(x+1)"), np.array([0.0, -1.0, 1.0]))
+        assert err.value.x == -1.0
+        assert err.value.source == "(1.0/(x+1.0))"
 
 
 def ast_strategy():
@@ -142,6 +172,29 @@ def ast_strategy():
         )
 
     return st.recursive(leaves, extend, max_leaves=25)
+
+
+# real points on both sides of zero, where the branch cuts of sqrt and log lie
+GRID = np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.5])
+
+
+class TestArrayEvaluation:
+    @given(tree=ast_strategy())
+    @settings(max_examples=300, deadline=None)
+    def test_array_matches_pointwise(self, tree):
+        pointwise = []
+        for x in GRID.tolist():
+            try:
+                pointwise.append(ex.evaluate(tree, x))
+            except EvaluationError as exc:
+                # the array call fails at the same first point
+                with pytest.raises(EvaluationError) as err:
+                    ex.evaluate(tree, GRID)
+                assert err.value.x == exc.x
+                return
+        values = ex.evaluate(tree, GRID)
+        assert values.shape == GRID.shape
+        np.testing.assert_allclose(values, pointwise, rtol=1e-14, atol=0)
 
 
 class TestRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 
 import kreinext as kx
 from kreinext.errors import EvaluationError, StructureError
-from kreinext.system import MatrixFn, chebyshev_points
+from kreinext.system import MatrixFn, as_matrix_fn, chebyshev_points
 
 from conftest import assert_allclose
 
@@ -39,6 +39,12 @@ class TestMatrixFn:
         assert_allclose(fn(0.3), [[2 * np.pi, -0.25], [-1, 3]], 1e-15)
         assert kx.preset_four_coeff("1", "1", "1", "0", (0, 1)).is_constant
 
+    def test_real_valued_function_folds_to_a_constant(self):
+        # abs is real-valued; its entry is still a complex constant
+        fn = MatrixFn([["abs(-3)", "x"]])
+        assert len(fn._varying) == 1
+        assert fn._const[0, 0] == 3 and fn._const.dtype == complex
+
     def test_x_free_evaluation_error_raised_on_build(self):
         with pytest.raises(EvaluationError):
             MatrixFn([["x", "1/0"]])
@@ -63,6 +69,17 @@ class TestMatrixFn:
         fn = MatrixFn([["1", "1/x"]])
         with pytest.raises(EvaluationError, match=r"entry \(1,2\).*at x=0\.0"):
             fn(np.array([1.0, 0.0]))
+
+    def test_array_call_error_names_the_first_bad_point(self):
+        fn = MatrixFn([["x", "1"], ["1/(x-1) + 1/(x+1)", "1"]])
+        with pytest.raises(EvaluationError, match=r"entry \(2,1\).*'\(1\.0/\(x\+1\.0\)\)' at x=-1\.0"):
+            fn(np.array([[0.0, -1.0], [1.0, 0.5]]))
+
+    @pytest.mark.parametrize("value, m", [(2, 3), ("x", 2), ("abs(-2)", 2)])
+    def test_scalar_and_expression_coerce_to_a_diagonal(self, value, m):
+        fn = as_matrix_fn(value, m)
+        assert fn.rows == fn.cols == m
+        assert np.array_equal(fn(2.0), 2.0 * np.eye(m))
 
     def test_rejects_ragged_grid(self):
         with pytest.raises(StructureError):
