@@ -6,11 +6,13 @@ numbers are serialized as two-element [re, im] arrays and matrices as
 row-major nested arrays.
 
 Each job setting, from a config file or a flag, is read and checked by its
-row of ``SETTINGS``; a flag overrides the file.
+row of ``SETTINGS``; a flag overrides the file.  Each operator is a row of
+``OPERATORS`` and each task a row of ``TASK_SECTIONS``.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 configuration error (also a bad order or interval, and a key or setting
-the operator does not read).
+Exit codes: 0 success, 1 validation failure, 2 numerical failure (also out
+of memory), 3 configuration error (also a config file that is not valid
+INI, a report that cannot be written, a bad order or interval, and a key or
+setting the operator does not read).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import configparser
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -48,11 +50,7 @@ from .system import (
     validate_hypothesis,
 )
 
-KNOWN_TASKS = ("validate", "krein", "friedrichs", "spectrum", "closed-form", "verify-all")
 DEFAULT_LAMBDA_MAX = 100.0
-# what each operator reads besides its interval; None is the explicit operator
-PRESET_KEYS = {"pure": ("order",), "fourth-order": (),
-               "four-coeff": ("block_size", "p", "q", "r", "s"), None: ("order", "W", "Z.j.k")}
 
 
 class ConfigError(KreinExtError):
@@ -73,24 +71,85 @@ class JobConfig:
     out: Optional[str] = None
 
 
+def _half_order(order, what: str) -> int:
+    """N of an even order 2N >= 2."""
+    if order is None or order % 2 != 0 or order < 2:
+        raise ConfigError(f"{what} requires an even order >= 2, got {order}")
+    return order // 2
+
+
+def _interval(cfg: JobConfig, what: str) -> tuple:
+    if cfg.interval is None:
+        raise ConfigError(f"{what} requires an interval")
+    return cfg.interval
+
+
+def _four_coeff(cfg: JobConfig, what: str) -> ShinZettlSystem:
+    coeff = {"p": "1", "q": "1", "r": "1", "s": "0", **cfg.coefficients}
+    return preset_four_coeff(**coeff, interval=_interval(cfg, what), M=cfg.block_size or 1)
+
+
+def _explicit(cfg: JobConfig, what: str) -> ShinZettlSystem:
+    """Scalar entries Z.j.k (0 when not given) and W (block size 1)."""
+    N = _half_order(cfg.order, what)
+    interval = _interval(cfg, what)
+    n = 2 * N
+    entries = [[MatrixFn.scalar(0.0)] * n for _ in range(n)]
+    for key, value in cfg.coefficients.items():
+        if key == "W":
+            continue
+        try:
+            _, j, k = key.split(".")
+            j, k = int(j), int(k)
+        except ValueError as exc:
+            raise ConfigError(f"bad coefficient key {key!r}") from exc
+        if not (1 <= j <= n and 1 <= k <= n):
+            raise ConfigError(f"coefficient key {key!r} out of range")
+        entries[j - 1][k - 1] = MatrixFn.scalar(value)
+    W = MatrixFn.scalar(cfg.coefficients.get("W", "1"))
+    return ShinZettlSystem(M=1, N=N, interval=_as_interval(interval), W=W, Z=entries)
+
+
+# each operator: what it reads besides its interval, and its builder taking
+# the job and the operator's name for errors; None is the explicit operator
+OPERATORS = {
+    "pure": (("order",), lambda cfg, what: preset_pure(_half_order(cfg.order, what),
+                                                      cfg.interval or (0.0, 1.0))),
+    "fourth-order": ((), lambda cfg, what: preset_fourth_order(cfg.interval)),
+    "four-coeff": (("block_size", "p", "q", "r", "s"), _four_coeff),
+    None: (("order", "W", "Z.j.k"), _explicit),
+}
+
+# the report sections each task writes: 'validation' is the operator and its
+# hypothesis checks, 'scan' the positivity scan and the certificates of both
+# pairs, 'krein' and 'friedrichs' the pairs' matrices, 'verify' the
+# verify-all checks.  Each section uses what the one before it computed
+# ('verify' needs 'scan', which needs 'validation'), so a row lists every
+# section up to its last.
+TASK_SECTIONS = {
+    "validate": {"validation"},
+    "krein": {"validation", "scan", "krein"},
+    "friedrichs": {"validation", "scan", "friedrichs"},
+    "spectrum": {"validation", "scan"},
+    "closed-form": {"closed_form"},
+    "verify-all": {"validation", "scan", "krein", "friedrichs", "verify"},
+}
+
+
 def _as_jsonable(value):
+    """What ``json`` cannot write itself: an array as rows of [re, im], a
+    complex number as [re, im], a Fraction as its text, and a numpy scalar
+    as its Python value."""
+    if isinstance(value, np.ndarray):
+        rows = np.atleast_2d(value).astype(complex)
+        return np.stack([rows.real, rows.imag], axis=-1).tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.ndarray):
-        return [[_as_jsonable(complex(v)) for v in row] for row in np.atleast_2d(value)]
-    if isinstance(value, (list, tuple)):
-        return [_as_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _as_jsonable(v) for k, v in value.items()}
-    return value
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _checked(convert, ok):
@@ -115,8 +174,8 @@ def _parse_interval(text: str) -> tuple:
 Setting = namedtuple("Setting", "section flag accepts parse")
 _tolerance = _checked(float, lambda tol: 0 < tol < 1)
 SETTINGS = {
-    "preset": Setting("operator", "--preset", "one of pure, fourth-order, four-coeff",
-                      _checked(str, lambda name: name in PRESET_KEYS)),
+    "preset": Setting("operator", "--preset", "one of " + ", ".join(filter(None, OPERATORS)),
+                      _checked(str, lambda name: name in OPERATORS)),
     "order": Setting("operator", "--order", "an even integer 2N >= 2", int),
     "block_size": Setting("operator", "--block-size", "an integer M >= 1",
                           _checked(int, lambda m: m >= 1)),
@@ -126,9 +185,9 @@ SETTINGS = {
     "abs_tol": Setting("tolerances", "--abs-tol", "a number in (0, 1)", _tolerance),
     "lambda_max": Setting("tolerances", "--lambda-max", "a scan bound in (0, inf)",
                           _checked(float, lambda lam: 0 < lam < np.inf)),
-    "tasks": Setting("tasks", "--task", "task names from " + ", ".join(KNOWN_TASKS),
+    "tasks": Setting("tasks", "--task", "task names from " + ", ".join(TASK_SECTIONS),
                      _checked(lambda text: text.replace(",", " ").split(),
-                              lambda names: set(names) <= set(KNOWN_TASKS))),
+                              lambda names: set(names) <= TASK_SECTIONS.keys())),
 }
 
 
@@ -141,9 +200,14 @@ def _read(name: str, text: str):
 
 
 def load_config_file(path: str) -> JobConfig:
-    parser = configparser.ConfigParser()
+    # values are coefficient expressions, where '%' is not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep Z.j.k key case and dots intact
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span several lines
+        raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = JobConfig()
@@ -161,215 +225,136 @@ def load_config_file(path: str) -> JobConfig:
     return cfg
 
 
-def _half_order(order, what: str) -> int:
-    """N of an even order 2N >= 2."""
-    if order is None or order % 2 != 0 or order < 2:
-        raise ConfigError(f"{what} requires an even order >= 2, got {order}")
-    return order // 2
-
-
-def _check_reads(cfg: JobConfig, preset: Optional[str], what: str):
-    """Reject each given operator setting that ``preset`` does not read."""
+def _check_reads(cfg: JobConfig, operator: Optional[str], what: str):
+    """Reject a preset other than ``operator`` and each setting it does not read."""
+    if cfg.preset not in (None, operator):
+        raise ConfigError(f"{what} reads no preset {cfg.preset!r}")
+    reads, _ = OPERATORS[operator]
     given = [key for key in ("order", "block_size") if getattr(cfg, key) is not None]
     for key in given + list(cfg.coefficients):
-        if ("Z.j.k" if key.startswith("Z.") else key) not in PRESET_KEYS[preset]:
+        if ("Z.j.k" if key.startswith("Z.") else key) not in reads:
             raise ConfigError(f"{what} reads no setting {key!r}")
 
 
 def build_system(cfg: JobConfig) -> ShinZettlSystem:
     """The configured system; a setting the operator does not read and a
     structurally invalid configuration are configuration errors."""
-    _check_reads(cfg, cfg.preset, f"the {cfg.preset or 'explicit'} operator")
+    what = f"the {cfg.preset or 'explicit'} operator"
+    _check_reads(cfg, cfg.preset, what)
     try:
-        return _system_from_config(cfg)
+        return OPERATORS[cfg.preset][1](cfg, what)
     except StructureError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _system_from_config(cfg: JobConfig) -> ShinZettlSystem:
-    interval = cfg.interval
-    if cfg.preset == "pure":
-        return preset_pure(_half_order(cfg.order, "pure preset"), interval or (0.0, 1.0))
-    if cfg.preset == "fourth-order":
-        return preset_fourth_order(interval)
-    if cfg.preset == "four-coeff":
-        coeff = {k: cfg.coefficients.get(k, "1") for k in ("p", "q", "r")}
-        coeff["s"] = cfg.coefficients.get("s", "0")
-        if interval is None:
-            raise ConfigError("four-coeff preset requires --interval")
-        return preset_four_coeff(
-            coeff["p"], coeff["q"], coeff["r"], coeff["s"], interval, M=cfg.block_size or 1
-        )
-
-    # explicit operator: scalar entries Z.j.k and W (block size 1)
-    N = _half_order(cfg.order, "explicit operator")
-    if interval is None:
-        raise ConfigError("explicit operator requires an interval")
-    n = 2 * N
-    entries = [[MatrixFn.scalar(0.0)] * n for _ in range(n)]
-    for key, value in cfg.coefficients.items():
-        if key == "W":
-            continue
-        try:
-            _, j, k = key.split(".")
-            j, k = int(j), int(k)
-        except ValueError as exc:
-            raise ConfigError(f"bad coefficient key {key!r}") from exc
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise ConfigError(f"coefficient key {key!r} out of range")
-        entries[j - 1][k - 1] = MatrixFn.scalar(value)
-    W = MatrixFn.scalar(cfg.coefficients.get("W", "1"))
-    return ShinZettlSystem(M=1, N=N, interval=_as_interval(interval), W=W, Z=entries)
-
-
-def _validation_section(report) -> dict:
-    return {
-        "passed": report.passed,
-        "samples": report.samples,
-        "checks": {
-            c.name: {"worst": c.worst, "threshold": c.threshold, "mode": c.mode, "ok": c.ok}
-            for c in report.checks
-        },
-    }
-
-
-def _pair_section(pair, label, certified) -> dict:
-    return {
-        "A": _as_jsonable(pair.A),
-        "B": _as_jsonable(pair.B),
-        "role": label,
-        "positivity_certified": certified,
-    }
-
-
 def run(cfg: JobConfig):
-    """Execute the configured tasks; returns (exit_code, report dict)."""
-    report = {"tasks": list(cfg.tasks), "tolerances": {
-        "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol}}
+    """Execute the configured tasks; returns (exit_code, report dict).  The report
+    holds library values (arrays, Fractions, numpy scalars) as they are."""
     if not cfg.tasks:
         raise ConfigError("no tasks requested")
+    wanted = set().union(*(TASK_SECTIONS[task] for task in cfg.tasks))
+    report = {"tasks": list(cfg.tasks), "tolerances": {
+        "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol}}
+    hard_checks = []
 
-    closed_form_only = set(cfg.tasks) == {"closed-form"}
-    if "closed-form" in cfg.tasks:
+    if "closed_form" in wanted:
         # the closed forms are those of the pure operator
-        if cfg.preset not in (None, "pure"):
-            raise ConfigError(f"the closed-form task reads no preset {cfg.preset!r}")
         _check_reads(cfg, "pure", "the closed-form task")
-        N = _half_order(cfg.order, "closed-form task")
+        N = _half_order(cfg.order, "the closed-form task")
         interval = cfg.interval or (0, 1)
         ok = exact.verify_factorization(N, interval)
-        tk = exact.toeplitz_TK(N, interval)
-        report["closed_form"] = {
-            "order": 2 * N,
-            "factorization_ok": ok,
-            "T_K": _as_jsonable(tk),
+        report["closed_form"] = {"order": 2 * N, "factorization_ok": ok,
+                                 "T_K": exact.toeplitz_TK(N, interval)}
+        hard_checks.append(ok)
+
+    if "validation" in wanted:
+        sys_ = build_system(cfg)
+        report["operator"] = {"M": sys_.M, "N": sys_.N, "order": sys_.order, "preset": cfg.preset,
+                              "interval": [sys_.interval.a, sys_.interval.b]}
+        validation = validate_hypothesis(sys_)
+        report["validation"] = {"passed": validation.passed, "samples": validation.samples,
+                                "checks": {c.name: {"worst": c.worst, "threshold": c.threshold,
+                                                    "mode": c.mode, "ok": c.ok}
+                                           for c in validation.checks}}
+        if not validation.passed:
+            return 1, report
+
+    if "scan" in wanted:
+        scan = spectral.lowest_friedrichs_eigenvalue(sys_, cfg.lambda_max,
+                                                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+        certified = scan.certified_strictly_positive
+        report["positivity"] = {
+            "certified_strictly_positive": certified,
+            "lambda_min": scan.lambda_min,
+            "scan_bound": scan.scan_bound,
+            "note": (
+                "no eigenvalue found in [0, scan_bound]; certificate holds up to "
+                "the scan bound only"
+                if scan.lambda_min is None
+                else "lowest Friedrichs eigenvalue located"
+            ),
         }
-        if closed_form_only:
-            return (0 if ok else 2), report
+        if not certified:
+            report["positivity"]["warning"] = (
+                "strict positivity not certified; boundary matrices are emitted "
+                "under the 'candidate' label and may not define the smallest "
+                "nonnegative extension"
+            )
 
-    sys_ = build_system(cfg)
-    report["operator"] = {
-        "M": sys_.M,
-        "N": sys_.N,
-        "order": sys_.order,
-        "interval": [sys_.interval.a, sys_.interval.b],
-        "preset": cfg.preset,
-    }
+        fm = fundamental_matrix(sys_, lam=0.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+        basis = extension.kernel_basis(sys_, fm)
+        krein = extension.build_krein_pair(basis)
+        B_inv = extension.invert_B(krein)
+        T_K = extension.transfer_matrix(krein, B_inv)
+        fried = extension.friedrichs_pair(sys_.M, sys_.N)
+        matrices = report["matrices"] = {}
+        if "krein" in wanted:
+            matrices.update(A_K=krein.A, B_K=krein.B, B_K_inv=B_inv, T_K=T_K,
+                            role="Krein--von Neumann" if certified else "candidate",
+                            conditioning=basis.conditioning)
+        if "friedrichs" in wanted:
+            matrices["friedrichs"] = {"A": fried.A, "B": fried.B, "role": "Friedrichs",
+                                      "positivity_certified": certified}
 
-    validation = validate_hypothesis(sys_)
-    report["validation"] = _validation_section(validation)
-    if not validation.passed:
-        return 1, report
+        sa_k = extension.verify_self_adjoint(krein)
+        sa_f = extension.verify_self_adjoint(fried)
+        prime, null_dim = extension.relative_primeness(krein, fried)
+        checks = report["checks"] = {
+            "krein_self_adjoint": asdict(sa_k),
+            "friedrichs_self_adjoint": asdict(sa_f),
+            "relatively_prime": {"verdict": prime, "common_nullspace_dim": null_dim},
+        }
+        hard_checks += [sa_k.verdict, sa_f.verdict, prime]
 
-    need_pipeline = bool(
-        {"krein", "friedrichs", "spectrum", "verify-all"} & set(cfg.tasks)
-    )
-    if not need_pipeline:
-        return 0, report
-
-    scan = spectral.lowest_friedrichs_eigenvalue(
-        sys_, cfg.lambda_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol
-    )
-    certified = scan.certified_strictly_positive
-    report["positivity"] = {
-        "certified_strictly_positive": certified,
-        "lambda_min": scan.lambda_min,
-        "scan_bound": scan.scan_bound,
-        "note": (
-            "no eigenvalue found in [0, scan_bound]; certificate holds up to "
-            "the scan bound only"
-            if scan.lambda_min is None
-            else "lowest Friedrichs eigenvalue located"
-        ),
-    }
-    if not certified:
-        report["positivity"]["warning"] = (
-            "strict positivity not certified; boundary matrices are emitted "
-            "under the 'candidate' label and may not define the smallest "
-            "nonnegative extension"
-        )
-
-    fm = fundamental_matrix(sys_, lam=0.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-    basis = extension.kernel_basis(sys_, fm)
-    krein = extension.build_krein_pair(basis)
-    B_inv = extension.invert_B(krein)
-    T_K = extension.transfer_matrix(krein, B_inv)
-    fried = extension.friedrichs_pair(sys_.M, sys_.N)
-    krein_label = "Krein--von Neumann" if certified else "candidate"
-
-    matrices = {}
-    if "krein" in cfg.tasks or "verify-all" in cfg.tasks:
-        matrices["A_K"] = _as_jsonable(krein.A)
-        matrices["B_K"] = _as_jsonable(krein.B)
-        matrices["B_K_inv"] = _as_jsonable(B_inv)
-        matrices["T_K"] = _as_jsonable(T_K)
-        matrices["role"] = krein_label
-        matrices["conditioning"] = basis.conditioning
-    if "friedrichs" in cfg.tasks or "verify-all" in cfg.tasks:
-        matrices["friedrichs"] = _pair_section(fried, "Friedrichs", certified)
-    report["matrices"] = matrices
-
-    checks = {}
-    sa_k = extension.verify_self_adjoint(krein)
-    sa_f = extension.verify_self_adjoint(fried)
-    for name, sa in (("krein_self_adjoint", sa_k), ("friedrichs_self_adjoint", sa_f)):
-        checks[name] = {"rank_AB": sa.rank_AB, "symplectic_defect": sa.symplectic_defect,
-                        "verdict": sa.verdict}
-    prime, null_dim = extension.relative_primeness(krein, fried)
-    checks["relatively_prime"] = {"verdict": prime, "common_nullspace_dim": null_dim}
-
-    if "verify-all" in cfg.tasks:
-        n = sys_.size
-        checks["gamma_reconstruction_residual"] = basis.residual
-        checks["b_inverse_product_residual"] = float(
-            np.linalg.norm(B_inv @ krein.B - np.eye(n)))
+    if "verify" in wanted:
         # entry (i, j) of [F, F] is the bracket of basis columns j and i
         F = SolutionTraces(fm, basis.C)
         brackets = lagrange_bracket(F, F)
-        checks["bracket_constancy_worst"] = float(np.abs(brackets - brackets[0]).max())
-        for col in range(n):
-            ok, res = extension.membership(krein, basis.C[:, col], basis.Eb[:, col])
-            if not ok:
-                checks.setdefault("membership_failures", []).append(
-                    {"column": col, "residual": res})
-        checks["kernel_membership_ok"] = "membership_failures" not in checks
-    report["checks"] = checks
-
-    hard_checks = [sa_k.verdict, sa_f.verdict, prime]
-    if "verify-all" in cfg.tasks:
-        hard_checks.append(checks["kernel_membership_ok"])
-        hard_checks.append(checks["bracket_constancy_worst"] <= extension.GATE)
-    code = 0 if all(hard_checks) else 2
-    return code, report
+        worst = np.abs(brackets - brackets[0]).max()
+        member, residuals = extension.membership(krein, basis.C, basis.Eb)
+        checks.update(
+            gamma_reconstruction_residual=basis.residual,
+            b_inverse_product_residual=np.linalg.norm(B_inv @ krein.B - np.eye(sys_.size)),
+            bracket_constancy_worst=worst,
+            kernel_membership_ok=member.all(),
+        )
+        if not member.all():
+            checks["membership_failures"] = [
+                {"column": col, "residual": residuals[col]} for col in np.flatnonzero(~member)]
+        hard_checks += [member.all(), worst <= extension.GATE]
+    return (0 if all(hard_checks) else 2), report
 
 
 def write_report(report: dict, out: Optional[str]):
-    text = json.dumps(_as_jsonable(report), indent=2, sort_keys=True)
-    if out:
+    text = json.dumps(report, indent=2, sort_keys=True, default=_as_jsonable)
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out}: {exc.strerror}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -433,16 +418,16 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(build_arg_parser().parse_args(argv))
         code, report = run(cfg)
+        write_report(report, cfg.out)
     except (ConfigError, ExprSyntaxError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except (GammaBijectivityError, IntegrationError, NumericalError) as exc:
+    except (GammaBijectivityError, IntegrationError, NumericalError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (EvaluationError, StructureError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    write_report(report, cfg.out)
     return code
 
 

@@ -180,14 +180,14 @@ def verify_self_adjoint(pair: BoundaryPair, tol: float = GATE) -> SelfAdjointnes
 def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = GATE):
     """Whether a pair of endpoint traces satisfies the boundary conditions.
 
-    Returns (ok, residual) with the residual normalized by the trace size.
+    ``Ya`` and ``Yb`` are trace vectors, or matrices of them column by
+    column.  Returns (ok, residual) per column, the residual
+    |A Ya - B Yb| / max(1, |Ya| + |Yb|); a single vector gives scalars.
     """
     Ya = np.asarray(Ya, dtype=complex)
     Yb = np.asarray(Yb, dtype=complex)
-    residual = float(
-        np.linalg.norm(pair.A @ Ya - pair.B @ Yb)
-        / max(1.0, float(np.linalg.norm(Ya) + np.linalg.norm(Yb)))
-    )
+    size = np.linalg.norm(Ya, axis=0) + np.linalg.norm(Yb, axis=0)
+    residual = np.linalg.norm(pair.A @ Ya - pair.B @ Yb, axis=0) / np.maximum(1.0, size)
     return residual <= tol, residual
 
 

@@ -42,6 +42,22 @@ UNREAD_SETTINGS = [
      ["closed-form", "--preset", "four-coeff", "--order", "4"]),
 ]
 
+# config files that are not valid INI, by case: no section header, an
+# unclosed section header, a duplicate key, a duplicate section, and the
+# first 64 bytes of an x86-64 ELF executable (not UTF-8)
+MALFORMED_CONFIGS = {
+    "no_section_header": "order = 2\ninterval = 0, 1\n",
+    "unclosed_section": "[tasks]\ntasks = validate\n[operator\norder = 2\n",
+    "duplicate_key": "[operator]\norder = 2\norder = 4\n",
+    "duplicate_section": "[operator]\norder = 2\n[operator]\ninterval = 0, 1\n",
+    "percent_in_value": "[operator]\norder = 2%\n",
+    "percent_in_expression": "[operator]\npreset = four-coeff\ninterval = 0, 1\np = 1%\n",
+    "interpolation_reference": "[operator]\norder = 2\ninterval = 0, 1\nZ.1.2 = %(x)s\n",
+    "binary_file": bytes.fromhex(
+        "7f454c4602010100000000000000000003003e0001000000d061000000000000"
+        "4000000000000000704702000000000000000000400038000d0040001f001e00"),
+}
+
 # two valid texts of each job setting, for the config file and the flag
 SETTING_TEXTS = {
     "preset": ("pure", "four-coeff"),
@@ -211,6 +227,16 @@ class TestClosedFormCommand:
         assert section["factorization_ok"]
         assert section["order"] == 6
         assert section["T_K"][0][1] == "1"
+
+    def test_factorization_counts_beside_other_tasks(self, monkeypatch, capsys):
+        args = ["compute", "--preset", "pure", "--order", "2", "--task", "closed-form,validate"]
+        assert run_cli(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["closed_form"]["factorization_ok"] is True
+        assert report["validation"]["passed"] is True
+        # a failed factorization is a numerical failure whatever runs beside it
+        monkeypatch.setattr(cli.exact, "verify_factorization", lambda N, interval: False)
+        assert run_cli(args) == 2
 
     def test_negative_left_endpoint_as_its_own_argument(self, capsys):
         reports = []
@@ -407,6 +433,11 @@ class TestExitCodes:
             (None, ["compute", "--preset", "pure", "--interval", "--order", "2"]),
             *((config, []) for config in UNREAD_KEYS.values()),
             *((None, args) for _, _, args in UNREAD_SETTINGS),
+            *((config, []) for config in MALFORMED_CONFIGS.values()),
+            (None, ["compute", "--preset", "four-coeff"]),
+            ("[operator]\norder = 2\nZ.1.2 = 1\nZ.2.1 = 1\n", []),
+            ("[operator]\norder = 2\ninterval = 0, 1\nZ.1 = 1\n", []),
+            ("[operator]\norder = 2\ninterval = 0, 1\nZ.3.1 = 1\n", []),
         ],
         ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
              "block_size_0", "reversed_interval", "infinite_interval",
@@ -415,14 +446,19 @@ class TestExitCodes:
              "closed_form_infinite_interval", "closed_form_reversed_interval",
              "interval_value_missing", "interval_value_is_a_flag",
              "unread_coefficient_key", "unread_tolerance_key", "unread_explicit_key",
-             "unknown_section", *(case for case, _, _ in UNREAD_SETTINGS)],
+             "unknown_section", *(case for case, _, _ in UNREAD_SETTINGS),
+             *MALFORMED_CONFIGS, "four_coeff_without_interval",
+             "explicit_without_interval", "two_part_key", "key_out_of_range"],
     )
     def test_bad_number_is_configuration_error(self, request, tmp_path, capsys,
                                                config, option):
         # without a config, the option is the whole command line
         if config is not None:
             cfg = tmp_path / "job.ini"
-            cfg.write_text(config)
+            if isinstance(config, bytes):
+                cfg.write_bytes(config)
+            else:
+                cfg.write_text(config)
             option = ["compute", "--config", str(cfg), *option]
         if request.node.callspec.id == "order":
             # one case runs the module as a program, the rest run in-process
@@ -457,6 +493,24 @@ class TestExitCodes:
         assert run_cli(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err, err
+
+    def test_out_into_missing_directory_is_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        args = ["compute", "--preset", "pure", "--order", "2", "--task", "validate"]
+        assert run_cli([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write the report to {out}:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_out_of_memory_is_numerical_failure(self, monkeypatch, capsys):
+        def exhausted(sys_):
+            raise MemoryError("Unable to allocate 15.3 GiB for an array")
+
+        monkeypatch.setattr(cli, "validate_hypothesis", exhausted)
+        assert run_cli(["compute", "--preset", "pure", "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: Unable to allocate 15.3 GiB for an array\n"
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         # negative weight fails the structural checks -> exit 1
@@ -578,11 +632,9 @@ class TestEigenvalueMissedAtHighOrder:
 
 class TestSerialization:
     def test_complex_and_fraction_coding(self):
-        from fractions import Fraction
-
-        payload = cli._as_jsonable(
-            {"z": 1 + 2j, "f": Fraction(1, 3), "m": np.array([[1.0]])}
-        )
+        payload = json.loads(json.dumps(
+            {"z": 1 + 2j, "f": Fraction(1, 3), "m": np.array([[1.0]])},
+            default=cli._as_jsonable))
         assert payload["z"] == [1.0, 2.0]
         assert payload["f"] == "1/3"
         assert payload["m"] == [[[1.0, 0.0]]]

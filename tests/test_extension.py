@@ -129,6 +129,16 @@ class TestKreinPair:
         ]
         assert not any(violations)
 
+    @pytest.mark.parametrize("role", ["krein", "friedrichs"])
+    def test_membership_of_a_trace_matrix_is_per_column(self, pipeline, role):
+        # one call on the trace matrices gives each column's own call
+        pair, basis = getattr(pipeline, role), pipeline.basis
+        ok, residual = kx.membership(pair, basis.C, basis.Eb)
+        columns = [kx.membership(pair, basis.C[:, col], basis.Eb[:, col])
+                   for col in range(pipeline.sys.size)]
+        assert ok.tolist() == [bool(col_ok) for col_ok, _ in columns]
+        assert_allclose(residual, [col_residual for _, col_residual in columns], 1e-12)
+
 
 class TestSelfAdjointness:
     def test_krein_pair_certified(self, pipeline):
