@@ -19,6 +19,9 @@ Three propagators, chosen by the system and by what is asked for:
   the kernel basis and the bracket checks read, at one lambda): the
   8th-order Dormand-Prince pair DOP853 (via scipy's ``solve_ivp``) under
   local error control at the requested tolerances, all columns at once.
+  This is the only use of scipy, which is imported at the first such
+  grid: a constant or pure operator, or the exact closed-form suite,
+  never loads it.
 
 A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
 spaced points and nowhere else: the kernel basis and the boundary pair
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, StructureError
 from .system import ShinZettlSystem, companion_matrix, companion_parts
@@ -69,6 +71,15 @@ class FundamentalMatrix:
     def end(self) -> np.ndarray:
         """The fundamental matrix at the right endpoint."""
         return self.values[-1]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported at the first call: importing
+    ``scipy.integrate`` costs most of a cold start, and only the DOP853 grid
+    of a variable-coefficient system needs it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _check_tolerances(rel_tol: float, abs_tol: float):

@@ -1,12 +1,18 @@
 """Fundamental-matrix integration against matrix-exponential oracles."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import kreinext as kx
-from kreinext import expressions, integration
+from kreinext import cli, expressions, integration
 from kreinext.errors import IntegrationError, StructureError
 from kreinext.integration import DEFAULT_REL_TOL, end_matrix
 from kreinext.system import companion_matrix
@@ -87,6 +93,60 @@ class TestVariableCoefficients:
             for rt in (1e-4, 1e-8)
         ]
         assert errs[1] < errs[0]
+
+
+class TestDeferredScipy:
+    """scipy is imported only by the DOP853 grid of a variable system."""
+
+    def test_constant_runs_never_load_scipy(self, tmp_path):
+        # a fresh interpreter: this test module has scipy loaded already
+        commands = [
+            ["verify", "--preset", "pure", "--order", "4"],
+            ["verify", "--preset", "fourth-order"],
+            ["closed-form", "--order", "6"],
+        ]
+        commands = [argv + ["--out", str(tmp_path / f"r{k}.json")]
+                    for k, argv in enumerate(commands)]
+        config = tmp_path / "variable.ini"
+        config.write_text(VARIABLE_OPERATORS["readme"])
+        script = textwrap.dedent("""
+            import json, sys
+            from kreinext import cli, integration
+            codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+            before = "scipy" in sys.modules
+            system = cli.build_system(cli.load_config_file(sys.argv[2]))
+            integration.fundamental_matrix(system)
+            print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+        """)
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands), str(config)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_before, integrate_after = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert all((tmp_path / f"r{k}.json").is_file() for k in range(len(commands)))
+        assert not scipy_before
+        assert integrate_after
+
+    def test_grid_calls_solve_ivp_through_the_module(self, monkeypatch, variable_systems):
+        # the benchmark reads integration.rhs_evals through this name
+        system = variable_systems["readme"]
+        expected = kx.fundamental_matrix(system, rel_tol=1e-9, abs_tol=1e-11)
+        real, calls = integration.solve_ivp, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integration, "solve_ivp", spy)
+        fm = kx.fundamental_matrix(system, rel_tol=1e-9, abs_tol=1e-11)
+        assert len(calls) == 1
+        assert (calls[0]["method"], calls[0]["rtol"], calls[0]["atol"]) == ("DOP853", 1e-9, 1e-11)
+        assert np.array_equal(fm.grid, expected.grid)
+        assert np.array_equal(fm.values, expected.values)
 
 
 class TestInterface:
