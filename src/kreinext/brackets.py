@@ -56,7 +56,7 @@ def lagrange_bracket(f: SolutionTraces, g: SolutionTraces) -> np.ndarray:
     if not np.allclose(f.grid, g.grid):
         raise StructureError("operand traces have mismatched grids")
     K = (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
-    return np.einsum("tki,kl,tlj->tij", g.values.conj(), K, f.values)
+    return g.values.conj().transpose(0, 2, 1) @ (K @ f.values)
 
 
 def check_bracket_constancy(f: SolutionTraces, g: SolutionTraces) -> float:

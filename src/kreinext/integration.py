@@ -1,27 +1,26 @@
 """Fundamental matrix of the companion system U' = S(x; lambda) U, U(a) = I.
 
-Three propagators, chosen by the system and by what is asked for:
+Two propagators, chosen by the system:
 
 - constant coefficients: the exact solution Psi(x) = expm(S (x - a)).
   ``expm`` is this module's batched Pade-13 scaling and squaring (Higham
   2005).  The stored grid is one batched exponential of S (x_k - a) over
   all grid points, with no step products, so each point, the endpoint
   included, is the exponential itself and Psi(a) is exactly I;
-- variable coefficients, Psi(b; lambda) alone (``end_matrix``, which the
-  positivity scan reads): the 6th-order Magnus method on three Gauss-
+- variable coefficients: the 6th-order Magnus method on three Gauss-
   Legendre nodes per step (Iserles & Norsett 1999; Blanes, Casas, Oteo &
-  Ros 2009).  Since S = S0 + lambda E, the nodes are sampled once per
-  system and mesh and serve every lambda; each step of a whole stack of
-  lambdas is one batched ``expm``, and the step products are reduced by a
-  pairwise tree.  The mesh starts at 32 steps and doubles until the
-  Richardson estimate |Psi_m - Psi_2m| / 63 meets the tolerances;
-- variable coefficients, the grid of Psi (``fundamental_matrix``, which
-  the kernel basis and the bracket checks read, at one lambda): the
-  8th-order Dormand-Prince pair DOP853 (via scipy's ``solve_ivp``) under
-  local error control at the requested tolerances, all columns at once.
-  This is the only use of scipy, which is imported at the first such
-  grid: a constant or pure operator, or the exact closed-form suite,
-  never loads it.
+  Ros 2009).  One routine, ``_magnus``, forms the steps: since
+  S = S0 + lambda E, the nodes are sampled once per system and mesh and
+  serve every lambda, each step of a whole stack of lambdas is one batched
+  ``expm``, the steps of each of ``cells`` equal cells are reduced by a
+  pairwise tree, and the cell products give Psi at the cells + 1 cell
+  ends.  ``_propagate`` doubles the mesh from
+  max(``MAGNUS_START_STEPS``, cells) until the Richardson estimate
+  |Psi_m - Psi_2m| / 63 meets the tolerances at every cell end.  The
+  positivity scan reads Psi(b; lambda) alone (``end_matrix``, one cell);
+  the kernel basis and the bracket checks read the grid
+  (``fundamental_matrix``, one cell per grid step, at one lambda).  Both
+  share the samples kept on the system.
 
 A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
 spaced points and nowhere else: the kernel basis and the boundary pair
@@ -74,9 +73,10 @@ class FundamentalMatrix:
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported at the first call: importing
-    ``scipy.integrate`` costs most of a cold start, and only the DOP853 grid
-    of a variable-coefficient system needs it."""
+    """scipy's ``solve_ivp``, imported at the first call.  No propagator of
+    this module calls it; it is kept because the benchmark reads its
+    ``integration.rhs_evals`` metric through this name, until that metric is
+    remapped to the Magnus steps."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -89,8 +89,8 @@ def _check_tolerances(rel_tol: float, abs_tol: float):
 
 def _check_stack(psi: np.ndarray, name: str, points: np.ndarray, how: str = ""):
     """IntegrationError naming the first point (a lambda or an x) of the
-    stack whose Psi is not finite."""
-    bad = ~np.isfinite(psi).all(axis=(-2, -1))
+    stack whose Psi is not finite; psi holds one or more matrices per point."""
+    bad = ~np.isfinite(psi).all(axis=tuple(range(1, psi.ndim)))
     if bad.any():
         raise IntegrationError(
             f"non-finite fundamental matrix at {name}={points[bad][0]}{how}"
@@ -159,46 +159,57 @@ def _magnus_samples(sys: ShinZettlSystem, steps: int):
     return sys._samples[steps]
 
 
-def _magnus_end(sys: ShinZettlSystem, lams: np.ndarray, steps: int) -> np.ndarray:
-    """Psi(b; lambda) of each lambda of a 1-D array on ``steps`` (a power
-    of two) equal 6th-order Magnus steps."""
+def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> np.ndarray:
+    """Psi at the ``cells + 1`` equally spaced points of [a, b] for each
+    lambda of a 1-D array, shape (len(lams), cells + 1, n, n), on ``steps``
+    equal 6th-order Magnus steps; steps / cells is a power of two."""
     alpha0, alphaE = _magnus_samples(sys, steps)
     lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
     a1, a2, a3 = (p + lam * e for p, e in zip(alpha0, alphaE))
     c1 = _commutator(a1, a2)
     c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
     omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    psi = expm(omega)
-    while psi.shape[1] > 1:  # later steps multiply from the left
-        psi = psi[:, 1::2] @ psi[:, 0::2]
-    return psi[:, 0]
+    n = omega.shape[-1]
+    psi = expm(omega).reshape(len(lams), cells, steps // cells, n, n)
+    while psi.shape[2] > 1:  # later steps multiply from the left
+        psi = psi[:, :, 1::2] @ psi[:, :, 0::2]
+    out = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
+    out[:, 0] = np.eye(n)
+    out[:, 1] = psi[:, 0, 0]
+    for k in range(1, cells):
+        out[:, k + 1] = psi[:, k, 0] @ out[:, k]
+    return out
 
 
-def _magnus_stack(sys: ShinZettlSystem, lams: np.ndarray, rel_tol, abs_tol) -> np.ndarray:
-    """Psi(b; lambda) of each lambda of a 1-D array, the mesh of each
-    lambda doubled from ``MAGNUS_START_STEPS`` until the Richardson
-    estimate of the 2m-step value, |Psi_m - Psi_2m| / 63, is within
-    rel_tol |Psi_2m| + abs_tol; the 2m-step value is returned."""
-    steps = MAGNUS_START_STEPS
-    coarse = _magnus_end(sys, lams, steps)
-    out = np.empty_like(coarse)
-    todo = np.arange(len(lams))
-    while True:
-        steps *= 2
-        fine = _magnus_end(sys, lams[todo], steps)
-        estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
-        done = estimate <= rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
-        done &= np.isfinite(estimate)  # a non-finite value is refined further
-        out[todo[done]] = fine[done]
-        todo, coarse, estimate = todo[~done], fine[~done], estimate[~done]
-        if not todo.size:
-            return out
-        if steps >= MAGNUS_MAX_STEPS:
-            _check_stack(coarse, "lambda", lams[todo], f" with {steps} Magnus steps")
-            raise IntegrationError(
-                f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
-                f"steps: error estimate {estimate[0]:.3e}"
-            )
+def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_tol) -> np.ndarray:
+    """``_magnus`` at each lambda of a 1-D array, the mesh of each lambda
+    doubled from max(``MAGNUS_START_STEPS``, cells) until the Richardson
+    estimate of the 2m-step values, |Psi_m - Psi_2m| / 63, is within
+    rel_tol |Psi_2m| + abs_tol at every point; the 2m-step values are
+    returned."""
+    steps = max(MAGNUS_START_STEPS, cells)
+    # an overflow shows up as a non-finite Psi, which raises IntegrationError
+    with np.errstate(all="ignore"):
+        coarse = _magnus(sys, lams, steps, cells)
+        out = np.empty_like(coarse)
+        todo = np.arange(len(lams))
+        while True:
+            steps *= 2
+            fine = _magnus(sys, lams[todo], steps, cells)
+            estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
+            done = estimate <= rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
+            done &= np.isfinite(estimate)  # a non-finite value is refined further
+            done, estimate = done.all(axis=1), estimate.max(axis=1)
+            out[todo[done]] = fine[done]
+            todo, coarse, estimate = todo[~done], fine[~done], estimate[~done]
+            if not todo.size:
+                return out
+            if steps >= MAGNUS_MAX_STEPS:
+                _check_stack(coarse, "lambda", lams[todo], f" with {steps} Magnus steps")
+                raise IntegrationError(
+                    f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
+                    f"steps: error estimate {estimate[0]:.3e}"
+                )
 
 
 def end_matrix(
@@ -218,16 +229,16 @@ def end_matrix(
     a, n = sys.interval.a, sys.size
     lams = np.asarray(lam)
     flat = lams.reshape(-1)
-    # an overflow shows up as a non-finite Psi, which raises IntegrationError
-    with np.errstate(all="ignore"):
-        if sys.is_constant:
+    if sys.is_constant:
+        # an overflow shows up as a non-finite Psi, which raises IntegrationError
+        with np.errstate(all="ignore"):
             psi = expm(_real_if_real(companion_matrix(sys, a, flat)) * sys.interval.length)
-            _check_stack(psi, "lambda", flat, " of the matrix exponential")
-        else:
-            psi = np.empty(flat.shape + (n, n), dtype=complex)
-            for k in range(0, len(flat), MAGNUS_CHUNK):
-                psi[k:k + MAGNUS_CHUNK] = _magnus_stack(
-                    sys, flat[k:k + MAGNUS_CHUNK], rel_tol, abs_tol)
+        _check_stack(psi, "lambda", flat, " of the matrix exponential")
+    else:
+        psi = np.empty(flat.shape + (n, n), dtype=complex)
+        for k in range(0, len(flat), MAGNUS_CHUNK):
+            psi[k:k + MAGNUS_CHUNK] = _propagate(
+                sys, flat[k:k + MAGNUS_CHUNK], 1, rel_tol, abs_tol)[:, -1]
     return psi.reshape(lams.shape + (n, n))
 
 
@@ -238,31 +249,14 @@ def fundamental_matrix(
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> FundamentalMatrix:
     _check_tolerances(rel_tol, abs_tol)
-    n = sys.size
     a, b = sys.interval.a, sys.interval.b
     grid = np.linspace(a, b, GRID_POINTS)
 
     if sys.is_constant:
         values = expm(companion_matrix(sys, a, lam) * (grid - a)[:, np.newaxis, np.newaxis])
     else:
-        def rhs(x, u):
-            return (companion_matrix(sys, x, lam) @ u.reshape(n, n)).ravel()
-
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            np.eye(n, dtype=complex).ravel(),
-            method="DOP853",
-            t_eval=grid,
-            rtol=rel_tol,
-            atol=abs_tol,
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"integration failed near x={sol.t[-1] if len(sol.t) else a}: {sol.message}"
-            )
-        values = sol.y.T.reshape(len(grid), n, n).copy()
-        values[0] = np.eye(n)  # initial condition is exact by construction
+        psi = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)
+        values = psi[0].astype(complex)  # complex, as a constant system's grid
 
     _check_stack(values, "x", grid)
     sign, logdet = np.linalg.slogdet(values)

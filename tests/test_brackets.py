@@ -8,6 +8,7 @@ import pytest
 import kreinext as kx
 from kreinext.brackets import SolutionTraces, check_bracket_constancy, lagrange_bracket
 from kreinext.errors import StructureError
+from kreinext.system import block_j_matrix
 
 from conftest import assert_allclose
 
@@ -75,21 +76,28 @@ class TestAlgebra:
 
     def test_matrix_entry_formula(self, pipelines):
         # the (j,k) entry of the block bracket equals the scalar bracket of
-        # column k against column j
-        pipe = pipelines["fourth-order"]
+        # column k against column j, and the bracket at each point is
+        # G(x)* K F(x); the M = 8 system has 16 x 16 traces of width 8
         rng = np.random.default_rng(11)
-        F0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        G0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        F = SolutionTraces(pipe.fm, F0)
-        G = SolutionTraces(pipe.fm, G0)
-        block = lagrange_bracket(F, G)
-        for j in range(2):
-            for k in range(2):
-                scalar = lagrange_bracket(
-                    SolutionTraces(pipe.fm, F0[:, [k]]),
-                    SolutionTraces(pipe.fm, G0[:, [j]]),
-                )
-                assert np.abs(block[:, j, k] - scalar[:, 0, 0]).max() < 1e-9
+        m8 = kx.fundamental_matrix(kx.preset_four_coeff(1, "1+x", 1, 0, (0.0, 1.0), M=8))
+        for fm, width in ((pipelines["fourth-order"].fm, 2), (m8, 8)):
+            n = fm.n
+            F0 = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+            G0 = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+            F = SolutionTraces(fm, F0)
+            G = SolutionTraces(fm, G0)
+            block = lagrange_bracket(F, G)
+            for j in range(width):
+                for k in range(width):
+                    scalar = lagrange_bracket(
+                        SolutionTraces(fm, F0[:, [k]]),
+                        SolutionTraces(fm, G0[:, [j]]),
+                    )
+                    assert np.abs(block[:, j, k] - scalar[:, 0, 0]).max() < 1e-9
+            K = (-1) ** (fm.sys.N + 1) * block_j_matrix(fm.sys.M, fm.sys.order)
+            for t in range(len(fm.grid)):
+                expected = G.values[t].conj().T @ K @ F.values[t]
+                assert_allclose(block[t], expected, 1e-12 * np.abs(expected).max())
 
     def test_second_order_explicit_wronskian(self):
         # for the second-order pure expression the bracket is the Wronskian

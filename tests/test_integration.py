@@ -15,13 +15,24 @@ import kreinext as kx
 from kreinext import cli, expressions, integration
 from kreinext.errors import IntegrationError, StructureError
 from kreinext.integration import DEFAULT_REL_TOL, end_matrix
-from kreinext.system import companion_matrix
+from kreinext.system import block_j_matrix, companion_matrix
 
 from conftest import PRESETS, VARIABLE_OPERATORS, assert_allclose
 
 
 def relative(actual, expected) -> float:
     return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
+
+
+def dop853(sys, lam, grid) -> np.ndarray:
+    """Psi at the points of grid from scipy's DOP853 at rtol 1e-13, atol
+    1e-15: a reference independent of the Magnus propagator."""
+    n = sys.size
+    return solve_ivp(
+        lambda x, u: (companion_matrix(sys, x, lam) @ u.reshape(n, n)).ravel(),
+        (sys.interval.a, grid[-1]), np.eye(n, dtype=complex).ravel(),
+        method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-15,
+    ).y.T.reshape(len(grid), n, n)
 
 
 class TestConstantCoefficientOracle:
@@ -81,22 +92,23 @@ class TestVariableCoefficients:
 
     def test_endpoint_solve_against_tight_reference(self):
         sys = kx.preset_four_coeff("1+x", "1+x^2", 1, 0, (0.0, 1.0))
-        ref = kx.fundamental_matrix(sys, lam=50.0, rel_tol=1e-13, abs_tol=1e-15).end()
-        rel = np.linalg.norm(end_matrix(sys, 50.0) - ref) / np.linalg.norm(ref)
+        ref = dop853(sys, 50.0, [sys.interval.b])[-1]
+        rel = relative(end_matrix(sys, 50.0), ref)
         assert rel <= 1e-9, rel
 
     def test_convergence_under_refinement(self):
+        # each tolerance against an independent DOP853 solve at rtol 1e-13
         sys = kx.preset_four_coeff("1+x", 1, 1, 0, (0.0, 1.0))
-        ref = kx.fundamental_matrix(sys, rel_tol=1e-12, abs_tol=1e-13).end()
-        errs = [
-            np.abs(kx.fundamental_matrix(sys, rel_tol=rt, abs_tol=rt * 1e-2).end() - ref).max()
-            for rt in (1e-4, 1e-8)
-        ]
-        assert errs[1] < errs[0]
+        ref = dop853(sys, 0.0, np.linspace(0.0, 1.0, integration.GRID_POINTS))
+        for rt in (1e-4, 1e-8, 1e-12):
+            fm = kx.fundamental_matrix(sys, rel_tol=rt, abs_tol=rt * 1e-2)
+            err = max(relative(value, expected) for value, expected in zip(fm.values, ref))
+            assert err <= rt, (rt, err)
 
 
 class TestDeferredScipy:
-    """scipy is imported only by the DOP853 grid of a variable system."""
+    """No command and no propagator loads scipy: ``integration.solve_ivp``,
+    which would import it, has no caller."""
 
     def test_constant_runs_never_load_scipy(self, tmp_path):
         # a fresh interpreter: this test module has scipy loaded already
@@ -116,7 +128,7 @@ class TestDeferredScipy:
             before = "scipy" in sys.modules
             system = cli.build_system(cli.load_config_file(sys.argv[2]))
             integration.fundamental_matrix(system)
-            print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+            print(json.dumps([codes, before, "scipy" in sys.modules]))
         """)
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
@@ -125,28 +137,11 @@ class TestDeferredScipy:
             env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr
-        codes, scipy_before, integrate_after = json.loads(proc.stdout.splitlines()[-1])
+        codes, scipy_before, scipy_after = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0, 0]
         assert all((tmp_path / f"r{k}.json").is_file() for k in range(len(commands)))
         assert not scipy_before
-        assert integrate_after
-
-    def test_grid_calls_solve_ivp_through_the_module(self, monkeypatch, variable_systems):
-        # the benchmark reads integration.rhs_evals through this name
-        system = variable_systems["readme"]
-        expected = kx.fundamental_matrix(system, rel_tol=1e-9, abs_tol=1e-11)
-        real, calls = integration.solve_ivp, []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(integration, "solve_ivp", spy)
-        fm = kx.fundamental_matrix(system, rel_tol=1e-9, abs_tol=1e-11)
-        assert len(calls) == 1
-        assert (calls[0]["method"], calls[0]["rtol"], calls[0]["atol"]) == ("DOP853", 1e-9, 1e-11)
-        assert np.array_equal(fm.grid, expected.grid)
-        assert np.array_equal(fm.values, expected.values)
+        assert not scipy_after
 
 
 class TestInterface:
@@ -185,13 +180,23 @@ class TestMagnus:
     @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
     def test_against_tight_dop853(self, variable_systems, name, lam):
         sys = variable_systems[name]
-        ref = kx.fundamental_matrix(sys, lam=lam, rel_tol=1e-13, abs_tol=1e-15).end()
+        ref = dop853(sys, lam, [sys.interval.b])[-1]
         assert relative(end_matrix(sys, lam), ref) <= 1e-9
 
     @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
     def test_lambda_zero_is_the_grid_endpoint(self, variable_systems, name):
         sys = variable_systems[name]
-        assert_allclose(end_matrix(sys, 0.0), kx.fundamental_matrix(sys).end(), 1e-9)
+        assert relative(kx.fundamental_matrix(sys).end(), end_matrix(sys, 0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
+    def test_grid_is_symplectic(self, variable_systems, name):
+        # Magnus steps are exponentials of K-Hamiltonian matrices, so
+        # Psi* K Psi = K holds at rounding level at every grid point
+        sys = variable_systems[name]
+        fm = kx.fundamental_matrix(sys)
+        K = (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
+        defect = fm.values.conj().transpose(0, 2, 1) @ K @ fm.values - K
+        assert np.linalg.norm(defect, axis=(1, 2)).max() <= 1e-12
 
     def test_batched_stack_matches_scalar_calls(self, variable_systems):
         sys = variable_systems["fourth-order-seeded"]
@@ -219,8 +224,8 @@ class TestMagnus:
     def test_observed_order_is_six(self, variable_systems):
         sys = variable_systems["readme"]
         lam = np.array([50.0])
-        ref = integration._magnus_end(sys, lam, 1024)
-        errors = [np.linalg.norm(integration._magnus_end(sys, lam, steps) - ref)
+        ref = integration._magnus(sys, lam, 1024, 1)[:, -1]
+        errors = [np.linalg.norm(integration._magnus(sys, lam, steps, 1)[:, -1] - ref)
                   for steps in (8, 16, 32)]
         ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
         assert all(50.0 <= ratio <= 80.0 for ratio in ratios), ratios
