@@ -9,18 +9,23 @@ Two propagators, chosen by the system:
   included, is the exponential itself and Psi(a) is exactly I;
 - variable coefficients: the 6th-order Magnus method on three Gauss-
   Legendre nodes per step (Iserles & Norsett 1999; Blanes, Casas, Oteo &
-  Ros 2009).  One routine, ``_magnus``, forms the steps: since
-  S = S0 + lambda E, the nodes are sampled once per system and mesh and
-  serve every lambda, each step of a whole stack of lambdas is one batched
-  ``expm``, the steps of each of ``cells`` equal cells are reduced by a
-  pairwise tree, and the cell products give Psi at the cells + 1 cell
-  ends.  ``_propagate`` doubles the mesh from
-  max(``MAGNUS_START_STEPS``, cells) until the Richardson estimate
-  |Psi_m - Psi_2m| / 63 meets the tolerances at every cell end.  The
-  positivity scan reads Psi(b; lambda) alone (``end_matrix``, one cell);
-  the kernel basis and the bracket checks read the grid
-  (``fundamental_matrix``, one cell per grid step, at one lambda).  Both
-  share the samples kept on the system.
+  Ros 2009).  Since S = S0 + lambda E, with E a corner block, the exponent
+  of every step is a polynomial in lambda of degree at most 3; its
+  coefficients are formed once per system and mesh, from one sample of
+  S0 and E at the nodes, and serve every lambda.  One routine,
+  ``_magnus``, evaluates the exponents of a whole stack of lambdas by
+  Horner, exponentiates all of them in one batched ``expm``, reduces the
+  steps of each of ``cells`` equal cells by a pairwise tree, and chains
+  the cell products to Psi at the cells + 1 cell ends.  ``_propagate``
+  doubles the mesh from m = max(``MAGNUS_START_STEPS``, cells) until the
+  Richardson estimate |Psi_m - Psi_2m| / 63 meets the tolerances at every
+  cell end, with one ``_magnus`` batch per round: the first round takes
+  the m- and 2m-step meshes together.  The positivity scan reads
+  Psi(b; lambda) alone (``end_matrix``, one cell), in chunks of lambdas
+  whose first-round exponent stack fits ``MAGNUS_CHUNK_BYTES``; the kernel
+  basis and the bracket checks read the grid (``fundamental_matrix``, one
+  cell per grid step, at one lambda).  Both share the coefficients kept
+  on the system.
 
 A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
 spaced points and nowhere else: the kernel basis and the boundary pair
@@ -41,7 +46,9 @@ DEFAULT_ABS_TOL = 1e-12
 GRID_POINTS = 65  # stored samples; >= 33 for bracket checks
 MAGNUS_START_STEPS = 32
 MAGNUS_MAX_STEPS = 4096
-MAGNUS_CHUNK = 4  # lambdas propagated together; bounds the memory of a stack
+# lambdas are propagated together as many at a time as keep their first-round
+# exponent stack, shape (lambdas, 3 MAGNUS_START_STEPS, n, n), within this many bytes
+MAGNUS_CHUNK_BYTES = 96 * 2**10
 
 # Pade-13 coefficients and the 1-norm up to which Pade-13 needs no scaling
 # (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  They are divided by the
@@ -103,6 +110,15 @@ def _real_if_real(A: np.ndarray) -> np.ndarray:
     return A if A.imag.any() else A.real
 
 
+def _one_norm(A: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of a stack: its largest column sum of
+    absolute values, summed row by row as ``np.abs(A).sum(axis=-2)`` does."""
+    total = np.abs(A[..., 0, :])
+    for k in range(1, A.shape[-2]):
+        total += np.abs(A[..., k, :])
+    return total.max(axis=-1)
+
+
 def expm(A) -> np.ndarray:
     """Matrix exponential of a matrix or of a stack of them: Pade-13 with
     scaling and squaring, each matrix scaled and squared only as far as its
@@ -110,9 +126,11 @@ def expm(A) -> np.ndarray:
     overflow while squaring gives inf or NaN without a warning."""
     A = np.asarray(A)
     A = A.astype(np.result_type(A, float))
-    finite = np.isfinite(A).all(axis=(-2, -1))[..., np.newaxis, np.newaxis]
-    A = np.where(finite, A, 0)
-    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    norm, finite = _one_norm(A), None
+    if not np.isfinite(norm).all():  # as it is for every matrix with a non-finite entry
+        finite = np.isfinite(A).all(axis=(-2, -1))[..., np.newaxis, np.newaxis]
+        A = np.where(finite, A, 0)
+        norm = _one_norm(A)
     s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
     squarings = int(s.max(initial=0))
     if squarings:
@@ -128,88 +146,157 @@ def expm(A) -> np.ndarray:
     R = np.linalg.solve(V - U, V + U)
     if squarings:
         with np.errstate(all="ignore"):
-            for k in range(squarings):
-                more = s > k
-                R[more] = R[more] @ R[more]
-    return np.where(finite, R, np.nan)
+            if (s == squarings).all():
+                for _ in range(squarings):
+                    R = R @ R
+            else:
+                s = s[..., np.newaxis, np.newaxis]
+                for k in range(squarings):
+                    R = np.where(s > k, R @ R, R)
+    return R if finite is None else np.where(finite, R, np.nan)
 
 
-def _commutator(X, Y):
-    return X @ Y - Y @ X
+class _LambdaPolynomial:
+    """A polynomial in lambda whose coefficients are stacks of matrices,
+    the constant one first.  Trailing coefficients that vanish exactly are
+    dropped, so products of two weight terms (E_i E_j = 0) cost nothing."""
+
+    def __init__(self, coefficients):
+        coefficients = list(coefficients)
+        while len(coefficients) > 1 and not coefficients[-1].any():
+            coefficients.pop()
+        self.coefficients = coefficients
+
+    def __add__(self, other):
+        X, Y = self.coefficients, other.coefficients
+        return _LambdaPolynomial([x + y for x, y in zip(X, Y)]
+                                 + X[len(Y):] + Y[len(X):])
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __rmul__(self, c: float):
+        return _LambdaPolynomial([c * x for x in self.coefficients])
+
+    def __truediv__(self, c: float):
+        return _LambdaPolynomial([x / c for x in self.coefficients])
+
+    def commutator(self, other):
+        X, Y = self.coefficients, other.coefficients
+        out = [0.0] * (len(X) + len(Y) - 1)
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
+                out[i + j] = out[i + j] + (x @ y - y @ x)
+        return _LambdaPolynomial(out)
 
 
-def _magnus_samples(sys: ShinZettlSystem, steps: int):
-    """The Magnus alphas of S0 and of E on ``steps`` equal steps of [a, b],
-    each of shape (3, steps, n, n), from one sample of both parts at the
-    three Gauss nodes of every step; kept on the system.  A real part is
-    stored as a real array, so that a real operator at real lambdas
-    propagates in real arithmetic."""
-    if steps not in sys._samples:
+def _omega_coefficients(sys: ShinZettlSystem, steps: int) -> np.ndarray:
+    """The Magnus-6 exponents of ``steps`` equal steps of [a, b] as a
+    polynomial in lambda, Omega(lambda) = sum_k lambda^k Omega_k, stacked
+    as shape (degree + 1, steps, n, n); kept on the system.
+
+    Both parts of S = S0 + lambda E are sampled once at the three Gauss
+    nodes of every step; their moments a_i = p_i + lambda e_i enter the
+    Magnus-6 formula with polynomial commutators.  E is a corner block, so
+    products of two e_i vanish and the degree is at most 3.  A real
+    operator gets real coefficients, so that it propagates in real
+    arithmetic at real lambdas."""
+    if steps not in sys._omega:
         h = sys.interval.length / steps
         xs = sys.interval.a + h * (np.arange(steps)[:, np.newaxis] + _GAUSS)
-        parts = (_real_if_real(A) for A in companion_parts(sys, xs))
-        sys._samples[steps] = tuple(
-            np.stack([
-                h * A[:, 1],
-                (np.sqrt(15.0) * h / 3.0) * (A[:, 2] - A[:, 0]),
-                (10.0 * h / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0]),
-            ])
-            for A in parts
-        )
-    return sys._samples[steps]
+        S0, E = (_real_if_real(A) for A in companion_parts(sys, xs))
+
+        def moments(A):
+            return (h * A[:, 1],
+                    (np.sqrt(15.0) * h / 3.0) * (A[:, 2] - A[:, 0]),
+                    (10.0 * h / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0]))
+
+        a1, a2, a3 = (_LambdaPolynomial(pair) for pair in zip(moments(S0), moments(E)))
+        c1 = a1.commutator(a2)
+        c2 = a1.commutator(2.0 * a3 + c1) / -60.0
+        omega = a1 + a3 / 12.0 + (-20.0 * a1 - a3 + c1).commutator(a2 + c2) / 240.0
+        sys._omega[steps] = np.stack(omega.coefficients)
+    return sys._omega[steps]
 
 
-def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> np.ndarray:
-    """Psi at the ``cells + 1`` equally spaced points of [a, b] for each
-    lambda of a 1-D array, shape (len(lams), cells + 1, n, n), on ``steps``
-    equal 6th-order Magnus steps; steps / cells is a power of two."""
-    alpha0, alphaE = _magnus_samples(sys, steps)
-    lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
-    a1, a2, a3 = (p + lam * e for p, e in zip(alpha0, alphaE))
-    c1 = _commutator(a1, a2)
-    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    n = omega.shape[-1]
-    psi = expm(omega).reshape(len(lams), cells, steps // cells, n, n)
-    while psi.shape[2] > 1:  # later steps multiply from the left
+def _pairwise_products(psi: np.ndarray) -> np.ndarray:
+    """The ordered product of each run of axis 2 (a power of two long) by
+    a pairwise tree; later steps multiply from the left."""
+    while psi.shape[2] > 1:
         psi = psi[:, :, 1::2] @ psi[:, :, 0::2]
-    out = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
-    out[:, 0] = np.eye(n)
-    out[:, 1] = psi[:, 0, 0]
-    for k in range(1, cells):
-        out[:, k + 1] = psi[:, k, 0] @ out[:, k]
+    return psi[:, :, 0]
+
+
+def _magnus(sys: ShinZettlSystem, lams: np.ndarray, meshes, cells: int) -> list:
+    """Psi at the ``cells + 1`` equally spaced points of [a, b] for each
+    lambda of a 1-D array: one array of shape (len(lams), cells + 1, n, n)
+    per mesh of ``meshes``, step counts that are power-of-two multiples of
+    cells.
+
+    The exponents of every step of every mesh are formed by Horner in
+    lambda and exponentiated in one batched ``expm``.  The steps are
+    reduced by the same pairwise tree in blocks of min(meshes) / cells
+    steps, and the blocks of each mesh further to one product per cell, so
+    each mesh's values equal those of a call with that mesh alone."""
+    lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
+    parts = [_omega_coefficients(sys, steps) for steps in meshes]
+    n = parts[0].shape[-1]
+    omega = np.empty((len(lams), sum(meshes), n, n), dtype=np.result_type(lams, *parts))
+    start = 0
+    for steps, coefficients in zip(meshes, parts):
+        view = omega[:, start:start + steps]
+        view[...] = coefficients[-1]
+        for c in coefficients[-2::-1]:
+            view *= lam
+            view += c
+        start += steps
+    block = min(meshes) // cells
+    blocks = _pairwise_products(expm(omega).reshape(len(lams), -1, block, n, n))
+    out, start = [], 0
+    for steps in meshes:
+        count = steps // block
+        psi = _pairwise_products(
+            blocks[:, start:start + count].reshape(len(lams), cells, -1, n, n))
+        start += count
+        values = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
+        values[:, 0] = np.eye(n)
+        values[:, 1] = psi[:, 0]
+        for k in range(1, cells):
+            values[:, k + 1] = psi[:, k] @ values[:, k]
+        out.append(values)
     return out
 
 
 def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_tol) -> np.ndarray:
     """``_magnus`` at each lambda of a 1-D array, the mesh of each lambda
-    doubled from max(``MAGNUS_START_STEPS``, cells) until the Richardson
+    doubled from m = max(``MAGNUS_START_STEPS``, cells) until the Richardson
     estimate of the 2m-step values, |Psi_m - Psi_2m| / 63, is within
     rel_tol |Psi_2m| + abs_tol at every point; the 2m-step values are
-    returned."""
+    returned.  Each round is one ``_magnus`` batch: the first one takes
+    the m- and the 2m-step meshes together, every later one the next mesh."""
     steps = max(MAGNUS_START_STEPS, cells)
     # an overflow shows up as a non-finite Psi, which raises IntegrationError
     with np.errstate(all="ignore"):
-        coarse = _magnus(sys, lams, steps, cells)
-        out = np.empty_like(coarse)
+        coarse, fine = _magnus(sys, lams, (steps, 2 * steps), cells)
+        out = np.empty_like(fine)
         todo = np.arange(len(lams))
         while True:
             steps *= 2
-            fine = _magnus(sys, lams[todo], steps, cells)
             estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
             done = estimate <= rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
             done &= np.isfinite(estimate)  # a non-finite value is refined further
             done, estimate = done.all(axis=1), estimate.max(axis=1)
             out[todo[done]] = fine[done]
-            todo, coarse, estimate = todo[~done], fine[~done], estimate[~done]
+            todo, fine, estimate = todo[~done], fine[~done], estimate[~done]
             if not todo.size:
                 return out
             if steps >= MAGNUS_MAX_STEPS:
-                _check_stack(coarse, "lambda", lams[todo], f" with {steps} Magnus steps")
+                _check_stack(fine, "lambda", lams[todo], f" with {steps} Magnus steps")
                 raise IntegrationError(
                     f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
                     f"steps: error estimate {estimate[0]:.3e}"
                 )
+            coarse, (fine,) = fine, _magnus(sys, lams[todo], (2 * steps,), cells)
 
 
 def end_matrix(
@@ -223,7 +310,7 @@ def end_matrix(
 
     A constant system takes one batched ``expm`` of S(lambda) L over the
     whole stack; a variable one takes the Magnus propagator, in chunks of
-    ``MAGNUS_CHUNK`` lambdas.
+    as many lambdas as ``MAGNUS_CHUNK_BYTES`` allows.
     """
     _check_tolerances(rel_tol, abs_tol)
     a, n = sys.interval.a, sys.size
@@ -235,10 +322,12 @@ def end_matrix(
             psi = expm(_real_if_real(companion_matrix(sys, a, flat)) * sys.interval.length)
         _check_stack(psi, "lambda", flat, " of the matrix exponential")
     else:
+        omega = _omega_coefficients(sys, MAGNUS_START_STEPS)
+        itemsize = np.result_type(flat, omega).itemsize
+        chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * itemsize))
         psi = np.empty(flat.shape + (n, n), dtype=complex)
-        for k in range(0, len(flat), MAGNUS_CHUNK):
-            psi[k:k + MAGNUS_CHUNK] = _propagate(
-                sys, flat[k:k + MAGNUS_CHUNK], 1, rel_tol, abs_tol)[:, -1]
+        for k in range(0, len(flat), chunk):
+            psi[k:k + chunk] = _propagate(sys, flat[k:k + chunk], 1, rel_tol, abs_tol)[:, -1]
     return psi.reshape(lams.shape + (n, n))
 
 

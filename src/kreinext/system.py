@@ -22,7 +22,8 @@ samples it once at all points, and the companion matrix is
 S(x; lambda) = S0(x) + lambda E(x), with S0 the block-lower-Hessenberg
 part of the grid and E(x) the weight term.  Both parts take an array of
 points, so one sample of them serves every lambda; a system keeps the
-samples the propagator takes of them (``_samples``) for its lifetime.
+Magnus exponents the propagator forms from them (``_omega``, one
+polynomial in lambda per mesh) for its lifetime.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class ShinZettlSystem:
     Z: Sequence[Sequence[MatrixFn]] = field(repr=False)
     _grid: MatrixFn = field(init=False, repr=False, compare=False)
     _above: np.ndarray = field(init=False, repr=False, compare=False)
-    _samples: dict = field(init=False, repr=False, compare=False)
+    _omega: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
@@ -198,8 +199,8 @@ class ShinZettlSystem:
         object.__setattr__(
             self, "_above", np.kron(blocks, np.ones((self.M, self.M), dtype=bool))
         )
-        # per-mesh coefficient samples of the Magnus propagator (integration.py)
-        object.__setattr__(self, "_samples", {})
+        # per-mesh Magnus exponents as polynomials in lambda (integration.py)
+        object.__setattr__(self, "_omega", {})
 
     @property
     def order(self) -> int:

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 import kreinext as kx
 from kreinext import cli, expressions, integration
 from kreinext.errors import IntegrationError, StructureError
-from kreinext.integration import DEFAULT_REL_TOL, end_matrix
+from kreinext.integration import end_matrix
 from kreinext.system import block_j_matrix, companion_matrix
 
 from conftest import PRESETS, VARIABLE_OPERATORS, assert_allclose
@@ -33,6 +33,25 @@ def dop853(sys, lam, grid) -> np.ndarray:
         (sys.interval.a, grid[-1]), np.eye(n, dtype=complex).ravel(),
         method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-15,
     ).y.T.reshape(len(grid), n, n)
+
+
+def direct_omega(sys, steps, lam) -> np.ndarray:
+    """The Magnus-6 exponents of steps equal steps at one lambda, from the
+    three-node formula on S(x; lambda) itself (Blanes, Casas, Oteo & Ros
+    2009): an oracle of the polynomial in lambda that the propagator keeps."""
+    h = sys.interval.length / steps
+    xs = sys.interval.a + h * (np.arange(steps)[:, np.newaxis] + integration._GAUSS)
+    S = companion_matrix(sys, xs, lam)
+    a1 = h * S[:, 1]
+    a2 = (np.sqrt(15.0) * h / 3.0) * (S[:, 2] - S[:, 0])
+    a3 = (10.0 * h / 3.0) * (S[:, 2] - 2.0 * S[:, 1] + S[:, 0])
+
+    def commutator(X, Y):
+        return X @ Y - Y @ X
+
+    c1 = commutator(a1, a2)
+    c2 = commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
 class TestConstantCoefficientOracle:
@@ -198,15 +217,41 @@ class TestMagnus:
         defect = fm.values.conj().transpose(0, 2, 1) @ K @ fm.values - K
         assert np.linalg.norm(defect, axis=(1, 2)).max() <= 1e-12
 
-    def test_batched_stack_matches_scalar_calls(self, variable_systems):
+    def test_batched_stack_matches_scalar_calls(self, variable_systems, monkeypatch):
+        # bit for bit, negative lambdas included, on every variable operator
+        # and every constant preset; 41 lambdas fill several chunks and a
+        # part under the byte budget, and 41 under a budget of one lambda
+        systems = [*variable_systems.values(), *(build() for build in PRESETS.values())]
+        lams = np.linspace(-50.0, 100.0, 41)
+        budgets = (integration.MAGNUS_CHUNK_BYTES, 1)
+        for sys in systems:
+            scalar = np.array([end_matrix(sys, lam) for lam in lams.tolist()])
+            for budget in budgets:
+                monkeypatch.setattr(integration, "MAGNUS_CHUNK_BYTES", budget)
+                assert np.array_equal(end_matrix(sys, lams), scalar), (sys, budget)
+            n = sys.size
+            assert end_matrix(sys, lams[:6].reshape(2, 3)).shape == (2, 3, n, n)
+            assert end_matrix(sys, lams[:0]).shape == (0, n, n)
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0, 1e3, 1e5, -50.0, 3 + 4j])
+    @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
+    def test_omega_polynomial_against_direct_formula(self, variable_systems, name, lam):
+        sys = variable_systems[name]
+        coefficients = integration._omega_coefficients(sys, 32)
+        assert len(coefficients) <= 4  # E_i E_j = 0 caps the degree at 3
+        omega = sum(lam**k * c for k, c in enumerate(coefficients))
+        expected = direct_omega(sys, 32, lam)
+        assert relative(omega, expected) <= 1e-14
+
+    @pytest.mark.parametrize("cells", [1, integration.GRID_POINTS - 1])
+    def test_one_batch_per_round_matches_separate_meshes(self, variable_systems, cells):
         sys = variable_systems["fourth-order-seeded"]
-        lams = np.linspace(0.0, 100.0, 11)  # 11 lambdas: two full chunks and a part
-        stack = end_matrix(sys, lams)
-        assert stack.shape == (11, sys.size, sys.size)
-        for lam, psi in zip(lams.tolist(), stack):
-            assert relative(psi, end_matrix(sys, lam)) <= DEFAULT_REL_TOL
-        assert end_matrix(sys, lams[:6].reshape(2, 3)).shape == (2, 3, sys.size, sys.size)
-        assert end_matrix(sys, lams[:0]).shape == (0, sys.size, sys.size)
+        lams = np.array([0.0, 17.0, -3.5])
+        m = max(integration.MAGNUS_START_STEPS, cells)
+        both = integration._magnus(sys, lams, (m, 2 * m), cells)
+        for steps, psi in zip((m, 2 * m), both):
+            assert psi.shape == (3, cells + 1, sys.size, sys.size)
+            assert np.array_equal(psi, integration._magnus(sys, lams, (steps,), cells)[0])
 
     def test_coefficients_sampled_once_per_mesh(self, monkeypatch):
         sys = kx.preset_four_coeff("1+x", "1+x^2", 1, 0, (0.0, 1.0))
@@ -217,16 +262,16 @@ class TestMagnus:
                             lambda ast, x: points.append(np.size(x)) or evaluate(ast, x))
         end_matrix(sys, np.linspace(0.0, 100.0, 9))
         # two x-dependent entries (1/p and q) at three Gauss nodes per step
-        assert sum(points) == 2 * 3 * sum(sys._samples) > 0
+        assert sum(points) == 2 * 3 * sum(sys._omega) > 0
         end_matrix(sys, np.linspace(0.5, 100.5, 9))
-        assert sum(points) == 2 * 3 * sum(sys._samples)
+        assert sum(points) == 2 * 3 * sum(sys._omega)
 
     def test_observed_order_is_six(self, variable_systems):
         sys = variable_systems["readme"]
         lam = np.array([50.0])
-        ref = integration._magnus(sys, lam, 1024, 1)[:, -1]
-        errors = [np.linalg.norm(integration._magnus(sys, lam, steps, 1)[:, -1] - ref)
-                  for steps in (8, 16, 32)]
+        ref = integration._magnus(sys, lam, (1024,), 1)[0][:, -1]
+        errors = [np.linalg.norm(psi[:, -1] - ref)
+                  for psi in integration._magnus(sys, lam, (8, 16, 32), 1)]
         ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
         assert all(50.0 <= ratio <= 80.0 for ratio in ratios), ratios
 
@@ -275,6 +320,34 @@ class TestExpm:
         self.assert_matches_scipy(stack)
         for matrix, value in zip(stack, integration.expm(stack)):
             assert np.array_equal(value, integration.expm(matrix))
+
+    def test_one_norm_sums_as_numpy_does(self):
+        # the scaling of each matrix, and so each exponential, depends on it
+        rng = np.random.default_rng(8)
+        for n in range(1, 11):
+            stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+            for A in (stack, stack.real, stack[0]):
+                expected = np.abs(A).sum(axis=-2).max(axis=-1)
+                assert np.array_equal(integration._one_norm(A), expected)
+
+    @pytest.mark.parametrize("scales, poison", [
+        ((6.0, 8.0, 10.0), None),  # one squaring each
+        ((0.1, 3.0, 8.0, 12.0, 100.0), None),  # 0, 0, 1, 2 and 5 squarings
+        ((0.1, 3.0, 8.0, 12.0), np.inf),
+        ((6.0, 8.0, 10.0), -np.inf),
+        ((0.1, 3.0, 8.0, 12.0), np.nan),
+    ], ids=["uniform", "mixed", "inf", "-inf", "nan"])
+    def test_stack_equals_each_matrix_alone(self, scales, poison):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        base /= np.abs(base).sum(axis=0).max()
+        stack = np.stack([base * c for c in scales])
+        if poison is not None:
+            stack[1, 2, 0] = poison
+        got = integration.expm(stack)
+        for matrix, value in zip(stack, got):
+            assert np.array_equal(value, integration.expm(matrix), equal_nan=True)
+        assert np.isnan(got[1]).all() == (poison is not None)
 
     @pytest.mark.parametrize("build", [lambda: kx.preset_pure(5, (0.0, 1.0)),
                                        kx.preset_fourth_order],
