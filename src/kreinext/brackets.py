@@ -32,7 +32,7 @@ class SolutionTraces:
     initial: np.ndarray  # (2MN, width)
 
     def __post_init__(self):
-        initial = np.atleast_2d(np.asarray(self.initial, dtype=complex))
+        initial = np.atleast_2d(np.asarray(self.initial))
         if initial.shape[0] == 1 and initial.shape[1] == self.fm.n:
             initial = initial.T
         if initial.shape[0] != self.fm.n:

@@ -11,8 +11,8 @@ row of ``SETTINGS``; a flag overrides the file.  Each operator is a row of
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure (also out
 of memory), 3 configuration error (also a config file that is not valid
-INI, a report that cannot be written, a bad order or interval, and a key or
-setting the operator does not read).
+INI, a report that cannot be written, to a path or to stdout, a bad
+order or interval, and a key or setting the operator does not read).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -307,17 +308,19 @@ def run(cfg: JobConfig):
         B_inv = extension.invert_B(krein)
         T_K = extension.transfer_matrix(krein, B_inv)
         fried = extension.friedrichs_pair(sys_.M, sys_.N)
+        sa_k = extension.verify_self_adjoint(krein)
+        sa_f = extension.verify_self_adjoint(fried)
         matrices = report["matrices"] = {}
         if "krein" in wanted:
+            # the label also needs the pair to pass its own self-adjointness check
             matrices.update(A_K=krein.A, B_K=krein.B, B_K_inv=B_inv, T_K=T_K,
-                            role="Krein--von Neumann" if certified else "candidate",
+                            role="Krein--von Neumann" if certified and sa_k.verdict
+                            else "candidate",
                             conditioning=basis.conditioning)
         if "friedrichs" in wanted:
             matrices["friedrichs"] = {"A": fried.A, "B": fried.B, "role": "Friedrichs",
                                       "positivity_certified": certified}
 
-        sa_k = extension.verify_self_adjoint(krein)
-        sa_f = extension.verify_self_adjoint(fried)
         prime, null_dim = extension.relative_primeness(krein, fried)
         checks = report["checks"] = {
             "krein_self_adjoint": asdict(sa_k),
@@ -348,21 +351,20 @@ def run(cfg: JobConfig):
 def write_report(report: dict, out: Optional[str]):
     text = json.dumps(report, indent=2, sort_keys=True, default=_as_jsonable)
     if not out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit, and would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write the report to stdout: {exc.strerror}") from exc
         return
     try:
         with open(out, "w") as handle:
             handle.write(text + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out}: {exc.strerror}") from exc
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="path to a config file")
-    for name, setting in SETTINGS.items():  # --task repeats, once per task
-        parser.add_argument(setting.flag, dest=name, help=setting.accepts,
-                            action="append" if name == "tasks" else "store")
-    parser.add_argument("--out", help="write the JSON report to this path")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -385,20 +387,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+# each command and the tasks it runs when neither --task nor the config names any
+COMMANDS = {
+    "compute": ["validate", "krein"],
+    "verify": ["validate", "verify-all"],
+    "closed-form": ["closed-form"],
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="krein-ext",
         description="boundary-condition matrices for Krein-von Neumann extensions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, default_tasks in (
-        ("compute", ["validate", "krein"]),
-        ("verify", ["validate", "verify-all"]),
-        ("closed-form", ["closed-form"]),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(default_tasks=default_tasks)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="path to a config file")
+    for name, setting in SETTINGS.items():  # --task repeats, once per task
+        parser.add_argument(setting.flag, dest=name, help=setting.accepts,
+                            action="append" if name == "tasks" else "store")
+    parser.add_argument("--out", help="write the JSON report to this path")
     return parser
 
 
@@ -409,7 +416,7 @@ def config_from_args(args) -> JobConfig:
         text = getattr(args, name)  # a list of texts for a repeated flag
         if text is not None:
             setattr(cfg, name, _read(name, text if isinstance(text, str) else " ".join(text)))
-    cfg.tasks = cfg.tasks or list(args.default_tasks)
+    cfg.tasks = cfg.tasks or list(COMMANDS[args.command])
     cfg.out = args.out
     return cfg
 

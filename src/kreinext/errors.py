@@ -35,14 +35,15 @@ class EvaluationError(KreinExtError):
 
 
 class IntegrationError(KreinExtError):
-    """The ODE integrator failed (step underflow, coefficient blow-up)."""
+    """The fundamental matrix is not finite, or its Magnus mesh did not
+    converge within the step cap."""
 
 
 class GammaBijectivityError(KreinExtError):
-    """The boundary-trace map restricted to the kernel is numerically singular.
+    """The endpoint-trace map on the kernel is too ill-conditioned to invert.
 
-    This typically indicates the minimal operator is not strictly positive,
-    so the kernel-basis construction does not apply.
+    Either 0 is close to a Friedrichs eigenvalue (the minimal operator is
+    not strictly positive), or Psi(b; 0) is too ill-conditioned to tell.
     """
 
 

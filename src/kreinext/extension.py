@@ -77,17 +77,18 @@ def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
     """Solve for the kernel basis whose endpoint traces are the standard
     basis vectors: C = [[I, 0], [-P12^-1 P11, P12^-1]], one MN x MN solve.
 
-    Fails with :class:`GammaBijectivityError` when the trace map is
-    numerically singular, which signals that the minimal operator is not
-    strictly positive.
+    Fails with :class:`GammaBijectivityError` when the condition number of
+    the trace map exceeds ``COND_CEILING``: either 0 is close to a
+    Friedrichs eigenvalue, or Psi(b; 0) is too ill-conditioned to tell.
     """
     T, half = fm.end(), sys.M * sys.N
     lam_mat = lambda_matrix(T)
     cond = float(np.linalg.cond(lam_mat))
     if not np.isfinite(cond) or cond > COND_CEILING:
         raise GammaBijectivityError(
-            f"endpoint-trace map condition number {cond:.3e} exceeds "
-            f"{COND_CEILING:.0e}; the strict-positivity hypothesis likely fails"
+            f"endpoint-trace map condition number {cond:.3e} exceeds {COND_CEILING:.0e}: "
+            "0 is close to a Friedrichs eigenvalue, or Psi(b; 0) is too "
+            "ill-conditioned to tell"
         )
     lower = np.linalg.solve(T[:half, half:], np.hstack([-T[:half, :half], np.eye(half)]))
     C = np.vstack([np.eye(half, sys.size), lower])
@@ -114,8 +115,7 @@ def build_krein_pair(basis: KernelBasis) -> BoundaryPair:
     M, N = basis.M, basis.N
     half = M * N
     phi0_a, phi0_b, phiN_a, phiN_b = phi_blocks(basis)
-    eye = np.eye(half, dtype=complex)
-    zero = np.zeros((half, half), dtype=complex)
+    eye, zero = np.eye(half), np.zeros((half, half))
     A = np.block([[-phi0_a, eye], [phi0_b, zero]])
     B = np.block([[phiN_a, zero], [-phiN_b, eye]])
     return BoundaryPair(A=A, B=B, role="krein", M=M, N=N, T=basis.T)
@@ -148,8 +148,7 @@ def friedrichs_pair(M: int, N: int) -> BoundaryPair:
     stacking selector rows."""
     half = M * N
     n = 2 * half
-    A = np.zeros((n, n), dtype=complex)
-    B = np.zeros((n, n), dtype=complex)
+    A, B = np.zeros((n, n)), np.zeros((n, n))
     A[:half, :half] = np.eye(half)
     B[half:, :half] = np.eye(half)
     return BoundaryPair(A=A, B=B, role="friedrichs", M=M, N=N)
@@ -184,8 +183,7 @@ def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = 
     column.  Returns (ok, residual) per column, the residual
     |A Ya - B Yb| / max(1, |Ya| + |Yb|); a single vector gives scalars.
     """
-    Ya = np.asarray(Ya, dtype=complex)
-    Yb = np.asarray(Yb, dtype=complex)
+    Ya, Yb = np.asarray(Ya), np.asarray(Yb)
     size = np.linalg.norm(Ya, axis=0) + np.linalg.norm(Yb, axis=0)
     residual = np.linalg.norm(pair.A @ Ya - pair.B @ Yb, axis=0) / np.maximum(1.0, size)
     return residual <= tol, residual

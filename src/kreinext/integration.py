@@ -104,12 +104,6 @@ def _check_stack(psi: np.ndarray, name: str, points: np.ndarray, how: str = ""):
         )
 
 
-def _real_if_real(A: np.ndarray) -> np.ndarray:
-    """A as a real array when it has no imaginary entries: small real
-    matrices multiply several times faster than complex ones."""
-    return A if A.imag.any() else A.real
-
-
 def _one_norm(A: np.ndarray) -> np.ndarray:
     """The 1-norm of each matrix of a stack: its largest column sum of
     absolute values, summed row by row as ``np.abs(A).sum(axis=-2)`` does."""
@@ -125,13 +119,12 @@ def expm(A) -> np.ndarray:
     own 1-norm needs.  A matrix with a non-finite entry gives NaN, and an
     overflow while squaring gives inf or NaN without a warning."""
     A = np.asarray(A)
-    A = A.astype(np.result_type(A, float))
     norm, finite = _one_norm(A), None
     if not np.isfinite(norm).all():  # as it is for every matrix with a non-finite entry
         finite = np.isfinite(A).all(axis=(-2, -1))[..., np.newaxis, np.newaxis]
         A = np.where(finite, A, 0)
         norm = _one_norm(A)
-    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0)))
     squarings = int(s.max(initial=0))
     if squarings:
         A = A / (2.0**s)[..., np.newaxis, np.newaxis]
@@ -198,13 +191,12 @@ def _omega_coefficients(sys: ShinZettlSystem, steps: int) -> np.ndarray:
     Both parts of S = S0 + lambda E are sampled once at the three Gauss
     nodes of every step; their moments a_i = p_i + lambda e_i enter the
     Magnus-6 formula with polynomial commutators.  E is a corner block, so
-    products of two e_i vanish and the degree is at most 3.  A real
-    operator gets real coefficients, so that it propagates in real
-    arithmetic at real lambdas."""
+    products of two e_i vanish and the degree is at most 3.  The
+    coefficients are real when the parts are (``companion_parts``)."""
     if steps not in sys._omega:
         h = sys.interval.length / steps
         xs = sys.interval.a + h * (np.arange(steps)[:, np.newaxis] + _GAUSS)
-        S0, E = (_real_if_real(A) for A in companion_parts(sys, xs))
+        S0, E = companion_parts(sys, xs)
 
         def moments(A):
             return (h * A[:, 1],
@@ -278,18 +270,20 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
     # an overflow shows up as a non-finite Psi, which raises IntegrationError
     with np.errstate(all="ignore"):
         coarse, fine = _magnus(sys, lams, (steps, 2 * steps), cells)
-        out = np.empty_like(fine)
-        todo = np.arange(len(lams))
+        todo, rounds = np.arange(len(lams)), []
         while True:
             steps *= 2
             estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
             done = estimate <= rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
             done &= np.isfinite(estimate)  # a non-finite value is refined further
             done, estimate = done.all(axis=1), estimate.max(axis=1)
-            out[todo[done]] = fine[done]
+            rounds.append((todo[done], fine[done]))
             todo, fine, estimate = todo[~done], fine[~done], estimate[~done]
             if not todo.size:
-                return out
+                # concatenated, so the imaginary part that only a finer mesh
+                # samples is kept
+                index, values = (np.concatenate(parts) for parts in zip(*rounds))
+                return values[np.argsort(index)]
             if steps >= MAGNUS_MAX_STEPS:
                 _check_stack(fine, "lambda", lams[todo], f" with {steps} Magnus steps")
                 raise IntegrationError(
@@ -319,15 +313,16 @@ def end_matrix(
     if sys.is_constant:
         # an overflow shows up as a non-finite Psi, which raises IntegrationError
         with np.errstate(all="ignore"):
-            psi = expm(_real_if_real(companion_matrix(sys, a, flat)) * sys.interval.length)
+            psi = expm(companion_matrix(sys, a, flat) * sys.interval.length)
         _check_stack(psi, "lambda", flat, " of the matrix exponential")
     else:
         omega = _omega_coefficients(sys, MAGNUS_START_STEPS)
-        itemsize = np.result_type(flat, omega).itemsize
-        chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * itemsize))
-        psi = np.empty(flat.shape + (n, n), dtype=complex)
-        for k in range(0, len(flat), chunk):
-            psi[k:k + chunk] = _propagate(sys, flat[k:k + chunk], 1, rel_tol, abs_tol)[:, -1]
+        dtype = np.result_type(flat, omega)
+        chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * dtype.itemsize))
+        # concatenated, so a chunk whose finer meshes are complex stays complex
+        psi = np.concatenate([np.empty((0, n, n), dtype)] + [
+            _propagate(sys, flat[k:k + chunk], 1, rel_tol, abs_tol)[:, -1]
+            for k in range(0, len(flat), chunk)])
     return psi.reshape(lams.shape + (n, n))
 
 
@@ -344,14 +339,6 @@ def fundamental_matrix(
     if sys.is_constant:
         values = expm(companion_matrix(sys, a, lam) * (grid - a)[:, np.newaxis, np.newaxis])
     else:
-        psi = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)
-        values = psi[0].astype(complex)  # complex, as a constant system's grid
-
+        values = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)[0]
     _check_stack(values, "x", grid)
-    sign, logdet = np.linalg.slogdet(values)
-    singular = (sign == 0) | ~np.isfinite(logdet)
-    if singular.any():
-        raise IntegrationError(
-            f"fundamental matrix singular at grid point x={grid[np.argmax(singular)]}"
-        )
     return FundamentalMatrix(sys=sys, grid=grid, values=values)

@@ -160,7 +160,7 @@ def block_j_matrix(M: int, n: int) -> np.ndarray:
     With n = 2N this is the full boundary-form matrix; with n = N it is the
     half-size version used in the block symplectic identities.
     """
-    out = np.zeros((M * n, M * n), dtype=complex)
+    out = np.zeros((M * n, M * n))
     for j in range(1, n + 1):
         k = n + 1 - j
         out[(j - 1) * M : j * M, (k - 1) * M : k * M] = (-1) ** j * np.eye(M)
@@ -315,13 +315,21 @@ def companion_parts(sys: ShinZettlSystem, x):
     first block column of the last block row, the term replacing the top
     quasi-derivative, and is zero elsewhere.  An array of points x gives
     two stacks of shape x.shape + (2MN, 2MN).
+
+    This is the one place that chooses real or complex arithmetic: both
+    parts are real when neither has an imaginary entry, and every later
+    array follows them, and lambda, by numpy's type promotion.  A real
+    operator is thus propagated, solved and checked in real arithmetic,
+    where small matrices multiply several times faster.
     """
     M = sys.M
     S0 = sys.coefficients(x)
     S0[..., sys._above] = 0
     E = np.zeros_like(S0)
     E[..., -M:, :M] = (-1) ** sys.N * sys.W(x)
-    return S0, E
+    if S0.imag.any() or E.imag.any():
+        return S0, E
+    return S0.real, E.real
 
 
 def companion_matrix(sys: ShinZettlSystem, x, lam=0.0) -> np.ndarray:

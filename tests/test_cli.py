@@ -438,6 +438,9 @@ class TestExitCodes:
             ("[operator]\norder = 2\nZ.1.2 = 1\nZ.2.1 = 1\n", []),
             ("[operator]\norder = 2\ninterval = 0, 1\nZ.1 = 1\n", []),
             ("[operator]\norder = 2\ninterval = 0, 1\nZ.3.1 = 1\n", []),
+            (None, []),
+            (None, ["bogus"]),
+            (None, ["--preset", "pure", "--order", "2"]),
         ],
         ids=["order", "rel_tol", "lambda_max", "rel_tol_range", "lambda_max_option",
              "block_size_0", "reversed_interval", "infinite_interval",
@@ -448,7 +451,8 @@ class TestExitCodes:
              "unread_coefficient_key", "unread_tolerance_key", "unread_explicit_key",
              "unknown_section", *(case for case, _, _ in UNREAD_SETTINGS),
              *MALFORMED_CONFIGS, "four_coeff_without_interval",
-             "explicit_without_interval", "two_part_key", "key_out_of_range"],
+             "explicit_without_interval", "two_part_key", "key_out_of_range",
+             "no_command", "unknown_command", "options_without_command"],
     )
     def test_bad_number_is_configuration_error(self, request, tmp_path, capsys,
                                                config, option):
@@ -547,6 +551,90 @@ class TestExitCodes:
             "[tasks]\ntasks = validate krein\n"
         )
         assert run_cli(["compute", "--config", str(cfg)]) == 2
+
+    def test_ill_conditioned_trace_map_names_both_causes(self, capsys):
+        # -y'' + y on [0, 30] is strictly positive (lambda_1 = 1 + (pi/30)^2),
+        # yet its trace map has condition number 1.1e13: the message states
+        # the measurement and both of its causes, not a failed hypothesis
+        args = ["compute", "--preset", "four-coeff", "--interval", "0,30"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: endpoint-trace map condition number 1.0")
+        assert "exceeds 1e+12" in err and "Friedrichs eigenvalue" in err
+        assert "ill-conditioned" in err and "strict-positivity" not in err
+
+    def test_overflowing_scan_is_numerical_failure(self, capsys):
+        # Psi(b; lambda) overflows at the top of the scan; the propagator
+        # names the lambda before the scan sees a non-finite value
+        args = ["compute", "--preset", "pure", "--order", "2", "--lambda-max", "1e300"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numerical failure: non-finite fundamental matrix at lambda=1.8225")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_growing_solutions_reach_the_report(self, tmp_path, capsys):
+        # q = 100 + x on [0, 2]: solutions grow like e^20, an accurate grid
+        # that no check of the propagator rejects; the pair's own check fails
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[operator]\npreset = four-coeff\ninterval = 0, 2\nq = 100+x\n")
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "singular" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["checks"]["krein_self_adjoint"]["verdict"] is False
+        # the certificate holds, but a pair that fails its own check is no label's
+        assert report["positivity"]["certified_strictly_positive"] is True
+        assert report["matrices"]["role"] == "candidate"
+
+    @staticmethod
+    def run_with_stdout(stdout) -> subprocess.CompletedProcess:
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "kreinext.cli", "verify", "--preset", "fourth-order"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+
+    def test_closed_stdout_is_configuration_error(self):
+        # the read end is closed before the run, so writing the report fails
+        # with EPIPE: one line on stderr, exit 3, and no message at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_with_stdout(write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "configuration error: cannot write the report to stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_configuration_error(self):
+        # every write to /dev/full fails with ENOSPC, as on a full disk
+        with open("/dev/full", "w") as full:
+            proc = self.run_with_stdout(full)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "configuration error: cannot write the report to stdout: No space left on device\n")
+
+
+class TestArgumentParser:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_picks_its_default_tasks(self, command):
+        cfg = cli.config_from_args(cli.build_arg_parser().parse_args([command]))
+        assert cfg.tasks == cli.COMMANDS[command]
+        given = cli.config_from_args(cli.build_arg_parser().parse_args(
+            [command, "--task", "spectrum"]))
+        assert given.tasks == ["spectrum"]
+
+    def test_every_command_takes_every_option(self):
+        options = [text for name, setting in cli.SETTINGS.items()
+                   for text in (setting.flag, SETTING_TEXTS[name][0])]
+        for command in cli.COMMANDS:
+            args = cli.build_arg_parser().parse_args([command, *options, "--out", "r.json"])
+            assert (args.command, args.out) == (command, "r.json")
+            assert all(getattr(args, name) is not None for name in cli.SETTINGS)
 
 
 class TestVariableCoefficients:

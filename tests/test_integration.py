@@ -15,9 +15,9 @@ import kreinext as kx
 from kreinext import cli, expressions, integration
 from kreinext.errors import IntegrationError, StructureError
 from kreinext.integration import end_matrix
-from kreinext.system import block_j_matrix, companion_matrix
+from kreinext.system import block_j_matrix, companion_matrix, companion_parts
 
-from conftest import PRESETS, VARIABLE_OPERATORS, assert_allclose
+from conftest import PRESETS, VARIABLE_OPERATORS, Pipeline, assert_allclose
 
 
 def relative(actual, expected) -> float:
@@ -296,6 +296,73 @@ class TestMagnus:
         sys = kx.preset_four_coeff(p, 1, 1, 0, (0.0, 1.0))
         with pytest.raises(IntegrationError, match=r"non-finite .* lambda=-10000000000\.0 "):
             end_matrix(sys, np.array([1.0, -1e10]))
+
+
+class TestRealArithmetic:
+    """``companion_parts`` alone chooses real or complex arithmetic: a real
+    operator is real in every array of the pipeline, and a complex
+    coefficient makes each of them complex."""
+
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), *sorted(VARIABLE_OPERATORS)])
+    def test_pipeline_dtypes(self, variable_systems, name):
+        sys = variable_systems[name] if name in VARIABLE_OPERATORS else PRESETS[name]()
+        expected = np.complex128 if name == "four-coeff-complex" else np.float64
+        pipe = Pipeline(sys)
+        xs = np.linspace(sys.interval.a, sys.interval.b, 5)
+        arrays = [*companion_parts(sys, xs), end_matrix(sys, np.linspace(0.0, 50.0, 3)),
+                  pipe.fm.values, pipe.basis.C, pipe.basis.Eb, pipe.krein.A, pipe.krein.B,
+                  pipe.B_inv, pipe.T]
+        assert [a.dtype for a in arrays] == [expected] * len(arrays)
+        assert pipe.friedrichs.A.dtype == pipe.friedrichs.B.dtype == np.float64
+
+    def test_complex_lambda_gives_complex_psi(self):
+        sys = kx.preset_four_coeff("1+x", 1, 1, 0, (0.0, 1.0))
+        assert end_matrix(sys, np.array([1.0, 2.0 + 1.0j])).dtype == np.complex128
+        assert kx.fundamental_matrix(sys, lam=1.0j).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("lam", [0.0, 50.0, 100.0])
+    def test_complex_hermitian_weight(self, lam):
+        # S0 is real and only the weight r = U diag(0.5, 1.5) U* is complex.
+        # p and q are scalar, so the operator is the real one of weight
+        # diag(0.5, 1.5) in the eigenbasis of r, and Psi is that one's
+        # conjugated by V = diag(U, U)
+        r = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+        sys = kx.preset_four_coeff(1, "1+x", r, 0, (0.0, 1.0), M=2)
+        w, U = np.linalg.eigh(r)
+        diagonal = kx.preset_four_coeff(1, "1+x", np.diag(w), 0, (0.0, 1.0), M=2)
+        V = np.kron(np.eye(2), U)
+        psi = end_matrix(sys, lam)
+        assert psi.dtype == np.complex128
+        ref = V @ dop853(diagonal, lam, [sys.interval.b])[-1] @ V.conj().T
+        assert relative(psi, ref) <= 1e-9
+        assert relative(psi, dop853(sys, lam, [sys.interval.b])[-1]) <= 1e-9
+
+    @pytest.mark.parametrize("s, checked", [
+        # s vanishes at every Gauss node of the 32-step mesh (the last is
+        # 0.99648) but not at the last one of the 64-step mesh (0.99824)
+        ("1e5*i*(x-0.997+abs(x-0.997))^3", (0, 1)),
+        # s vanishes at every node of the 32- and 64-step meshes: lambda = 0
+        # converges on them in real arithmetic, lambda = 50 needs the
+        # complex 128-step mesh
+        ("1e6*i*(x-0.999+abs(x-0.999))^3", (1,)),
+    ])
+    def test_imaginary_part_only_on_finer_meshes(self, s, checked):
+        sys = kx.preset_four_coeff("1+x", 1, 1, s, (0.0, 1.0))
+        lams = np.array([0.0, 50.0])
+        psi = end_matrix(sys, lams)
+        assert psi.dtype == np.complex128
+        for k in checked:
+            assert relative(psi[k], dop853(sys, lams[k], [sys.interval.b])[-1]) <= 1e-9
+
+    def test_growing_solutions_keep_an_accurate_grid(self):
+        # q = 100 + x on [0, 2]: |Psi| grows to about e^20, and the grid is
+        # returned with a symplectic defect at rounding level relative to it
+        sys = kx.preset_four_coeff(1, "100+x", 1, 0, (0.0, 2.0))
+        fm = kx.fundamental_matrix(sys)
+        K = (-1) ** (sys.N + 1) * block_j_matrix(sys.M, sys.order)
+        defect = fm.values.conj().transpose(0, 2, 1) @ K @ fm.values - K
+        scale = np.linalg.norm(fm.values, axis=(1, 2)) ** 2
+        assert (np.linalg.norm(defect, axis=(1, 2)) / scale).max() <= 1e-14
 
 
 class TestExpm:

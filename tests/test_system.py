@@ -103,6 +103,9 @@ class TestJMatrix:
         J = kx.block_j_matrix(1, 4)
         assert_allclose(J @ J, -np.eye(4), 0)
 
+    def test_real(self):
+        assert kx.block_j_matrix(2, 4).dtype == np.float64
+
 
 class TestPresets:
     def test_pure_grid(self):
