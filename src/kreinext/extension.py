@@ -95,7 +95,8 @@ def kernel_basis(sys: ShinZettlSystem, fm: FundamentalMatrix) -> KernelBasis:
     Eb = T @ C
     recon = float(np.linalg.norm(lam_mat @ C - np.eye(sys.size)))
     if recon > GATE:
-        raise NumericalError(f"kernel basis reconstruction residual {recon:.3e}")
+        raise NumericalError(
+            f"kernel basis reconstruction residual {recon:.3e} exceeds {GATE:.0e}")
     return KernelBasis(C=C, Eb=Eb, conditioning=cond, M=sys.M, N=sys.N, T=T, residual=recon)
 
 
@@ -132,7 +133,8 @@ def invert_B(pair: BoundaryPair) -> np.ndarray:
     dense = np.linalg.inv(pair.B)
     rel = np.linalg.norm(B_inv - dense) / max(1.0, np.linalg.norm(dense))
     if rel > GATE:
-        raise NumericalError(f"structured inverse deviates from dense: {rel:.3e}")
+        raise NumericalError(
+            f"structured inverse deviates from dense: {rel:.3e} exceeds {GATE:.0e}")
     return B_inv
 
 
@@ -160,7 +162,7 @@ def _numerical_rank(X: np.ndarray) -> int:
     return int(np.sum(sigma > sigma.max() * min(X.shape) * np.finfo(float).eps * 64))
 
 
-def verify_self_adjoint(pair: BoundaryPair, tol: float = GATE) -> SelfAdjointnessReport:
+def verify_self_adjoint(pair: BoundaryPair) -> SelfAdjointnessReport:
     """Check the rank and symplectic conditions for self-adjointness of the
     boundary-value restriction."""
     n = 2 * pair.M * pair.N
@@ -172,11 +174,11 @@ def verify_self_adjoint(pair: BoundaryPair, tol: float = GATE) -> SelfAdjointnes
     return SelfAdjointnessReport(
         rank_AB=rank,
         symplectic_defect=defect,
-        verdict=(rank == n and defect <= tol),
+        verdict=(rank == n and defect <= GATE),
     )
 
 
-def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = GATE):
+def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray):
     """Whether a pair of endpoint traces satisfies the boundary conditions.
 
     ``Ya`` and ``Yb`` are trace vectors, or matrices of them column by
@@ -186,7 +188,7 @@ def membership(pair: BoundaryPair, Ya: np.ndarray, Yb: np.ndarray, tol: float = 
     Ya, Yb = np.asarray(Ya), np.asarray(Yb)
     size = np.linalg.norm(Ya, axis=0) + np.linalg.norm(Yb, axis=0)
     residual = np.linalg.norm(pair.A @ Ya - pair.B @ Yb, axis=0) / np.maximum(1.0, size)
-    return residual <= tol, residual
+    return residual <= GATE, residual
 
 
 def relative_primeness(pairA: BoundaryPair, pairB: BoundaryPair):

@@ -29,6 +29,8 @@ from .system import ShinZettlSystem
 
 POSITIVITY_MARGIN = 1e-8
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+COARSE_STEPS = 200  # the coarse scan grid has COARSE_STEPS + 1 points
+GOLDEN_ITERATIONS = 90  # golden-section steps per dip, at most
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,11 @@ def friedrichs_char_value(
     return sigma if isinstance(lam, np.ndarray) else float(sigma)
 
 
-def _golden_minimize(f, lo, hi, iterations=90):
+def _golden_minimize(f, lo, hi):
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
+    for _ in range(GOLDEN_ITERATIONS):
         if hi - lo < 1e-13 * max(1.0, abs(hi)):
             break
         if f1 <= f2:
@@ -75,7 +77,6 @@ def _golden_minimize(f, lo, hi, iterations=90):
 def lowest_friedrichs_eigenvalue(
     sys: ShinZettlSystem,
     lambda_max: float,
-    coarse_steps: int = 200,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> SpectralScanResult:
@@ -92,33 +93,24 @@ def lowest_friedrichs_eigenvalue(
     def char(lam: float) -> float:
         return friedrichs_char_value(sys, lam, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    fractions = np.linspace(0.0, 1.0, coarse_steps + 1)
+    fractions = np.linspace(0.0, 1.0, COARSE_STEPS + 1)
     lambdas = lambda_max * fractions**2
     sigmas = char(lambdas)
 
     typical = float(np.median(sigmas))
     zero_level = 1e-7 * max(typical, np.finfo(float).tiny)
 
+    lambda_min = bracket = None
     for i in range(1, len(lambdas) - 1):
         if sigmas[i] <= sigmas[i - 1] and sigmas[i] <= sigmas[i + 1]:
             lo, hi = lambdas[i - 1], lambdas[i + 1]
             lam_star, sig_star = _golden_minimize(char, lo, hi)
             if sig_star <= zero_level:
-                return SpectralScanResult(
-                    lambda_min=float(lam_star),
-                    bracket=(float(lo), float(hi)),
-                    scan_lambdas=lambdas,
-                    scan_sigmas=sigmas,
-                    scan_bound=lambda_max,
-                    certified_strictly_positive=bool(lam_star > POSITIVITY_MARGIN),
-                )
+                lambda_min, bracket = float(lam_star), (float(lo), float(hi))
+                break
 
-    # no eigenvalue found below the scan bound
+    # with no eigenvalue below the scan bound, positivity holds up to it
     return SpectralScanResult(
-        lambda_min=None,
-        bracket=None,
-        scan_lambdas=lambdas,
-        scan_sigmas=sigmas,
+        lambda_min=lambda_min, bracket=bracket, scan_lambdas=lambdas, scan_sigmas=sigmas,
         scan_bound=lambda_max,
-        certified_strictly_positive=True,
-    )
+        certified_strictly_positive=lambda_min is None or lambda_min > POSITIVITY_MARGIN)

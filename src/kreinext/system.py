@@ -37,6 +37,8 @@ import numpy as np
 from . import expressions as ex
 from .errors import EvaluationError, StructureError
 
+VALIDATION_SAMPLES = 257  # Chebyshev points of the hypothesis checks
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -271,8 +273,8 @@ def _min_herm_eig(mats: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm).min())
 
 
-def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationReport:
-    """Check the structural hypotheses on a Chebyshev sample grid.
+def validate_hypothesis(sys: ShinZettlSystem) -> ValidationReport:
+    """Check the structural hypotheses on ``VALIDATION_SAMPLES`` Chebyshev points.
 
     Residual-style checks (A2, A3) report the worst Frobenius residual and
     pass at <= 1e-10; invertibility/positivity checks (A1, W, leading
@@ -281,9 +283,9 @@ def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationR
     check is one batched decomposition or norm over all sample points.
     """
     M, n = sys.M, sys.order
-    xs = chebyshev_points(sys.interval.a, sys.interval.b, samples)
+    xs = chebyshev_points(sys.interval.a, sys.interval.b, VALIDATION_SAMPLES)
     big = sys.coefficients(xs)
-    Z = big.reshape(samples, n, M, n, M).swapaxes(2, 3)  # Z[:, j, k]: block (j+1, k+1)
+    Z = big.reshape(len(xs), n, M, n, M).swapaxes(2, 3)  # Z[:, j, k]: block (j+1, k+1)
     J = block_j_matrix(M, n)
 
     sup = np.arange(n - 1)
@@ -301,7 +303,7 @@ def validate_hypothesis(sys: ShinZettlSystem, samples: int = 257) -> ValidationR
         CheckResult("W_positive", _min_herm_eig(sys.W(xs)), tol, "min_eig"),
         CheckResult("leading_positive", _min_herm_eig(Z[:, sys.N - 1, sys.N]), tol, "min_eig"),
     )
-    return ValidationReport(checks=checks, samples=samples)
+    return ValidationReport(checks=checks, samples=VALIDATION_SAMPLES)
 
 
 def companion_parts(sys: ShinZettlSystem, x):

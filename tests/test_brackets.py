@@ -137,3 +137,11 @@ class TestInterface:
         )
         with pytest.raises(StructureError):
             check_bracket_constancy(f, g)
+
+    def test_nearly_equal_grids_rejected(self):
+        # grids 1e-6 apart pass np.allclose; traces on different intervals
+        # still have no bracket
+        f, g = (SolutionTraces(kx.fundamental_matrix(kx.preset_pure(1, (0, b))),
+                               np.array([1.0, 0.0])) for b in (1, 1 + 1e-6))
+        with pytest.raises(StructureError):
+            check_bracket_constancy(f, g)

@@ -3,6 +3,7 @@ and exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -215,6 +216,27 @@ class TestVerifyCommand:
         all_pairs = max(kx.check_bracket_constancy(f, g) for f, g in pairs)
         largest = max(np.abs(kx.lagrange_bracket(f, g)).max() for f, g in pairs)
         worst = report["checks"]["bracket_constancy_worst"]
+        assert abs(worst - all_pairs) <= 1e-12 * largest, (worst, all_pairs)
+
+    def test_bracket_constancy_is_the_library_check(self, tmp_path):
+        # four-coeff M = 2, q = 1+x: the report reads check_bracket_constancy
+        # on the full-width traces, the largest entry deviation, which the
+        # width-1 column pairs read too, up to the rounding of their products
+        path = tmp_path / "job.ini"
+        path.write_text(VARIABLE_OPERATORS["four-coeff-m2"])
+        cfg = cli.config_from_args(cli.build_arg_parser().parse_args(
+            ["verify", "--config", str(path), "--lambda-max", "1"]))
+        _, report = cli.run(cfg)
+        sys_ = cli.build_system(cfg)
+        fm = kx.fundamental_matrix(sys_)
+        C = kx.kernel_basis(sys_, fm).C
+        F = kx.SolutionTraces(fm, C)
+        worst = report["checks"]["bracket_constancy_worst"]
+        assert worst == kx.check_bracket_constancy(F, F)
+        cols = [kx.SolutionTraces(fm, C[:, [j]]) for j in range(sys_.size)]
+        pairs = [(f, g) for f in cols for g in cols]
+        all_pairs = max(kx.check_bracket_constancy(f, g) for f, g in pairs)
+        largest = max(np.abs(kx.lagrange_bracket(f, g)).max() for f, g in pairs)
         assert abs(worst - all_pairs) <= 1e-12 * largest, (worst, all_pairs)
 
 
@@ -587,6 +609,19 @@ class TestExitCodes:
         # the certificate holds, but a pair that fails its own check is no label's
         assert report["positivity"]["certified_strictly_positive"] is True
         assert report["matrices"]["role"] == "candidate"
+
+    def test_reconstruction_gate_names_value_and_bound(self, tmp_path, capsys):
+        # q = 100 on [0, 2]: cond(Lambda) is 2.45e9 and the reconstruction
+        # residual lands just above the gate; the message gives both numbers
+        cfg = tmp_path / "job.ini"
+        cfg.write_text("[operator]\npreset = four-coeff\ninterval = 0, 2\nq = 100\n")
+        assert run_cli(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        found = re.fullmatch(r"numerical failure: kernel basis reconstruction residual "
+                             r"(\S+) exceeds 1e-08\n", captured.err)
+        assert found, captured.err
+        assert float(found[1]) > 1e-8
 
     @staticmethod
     def run_with_stdout(stdout) -> subprocess.CompletedProcess:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext.errors import GammaBijectivityError, StructureError
+from kreinext.errors import GammaBijectivityError, NumericalError, StructureError
 from kreinext.extension import lambda_matrix, phi_blocks
 
 from conftest import Pipeline, assert_allclose
@@ -89,6 +89,14 @@ class TestKreinPair:
         bare = kx.BoundaryPair(A=krein.A, B=krein.B, role="krein", M=krein.M, N=krein.N)
         with pytest.raises(StructureError):
             kx.invert_B(bare)
+
+    def test_invert_b_gate_names_value_and_bound(self, pipeline):
+        # a Psi(b; 0) that does not belong to B: the message gives both numbers
+        krein = pipeline.krein
+        off = kx.BoundaryPair(A=krein.A, B=krein.B, role="krein", M=krein.M, N=krein.N,
+                              T=krein.T + 1e-3)
+        with pytest.raises(NumericalError, match=r"dense: \d\.\d{3}e-\d\d exceeds 1e-08$"):
+            kx.invert_B(off)
 
     def test_b_inverse_is_read_off_psi(self, pipeline):
         # B^-1 = [[P12, 0], [P22, I]] with P the half blocks of Psi(b; 0)

@@ -58,18 +58,14 @@ class TestScan:
         assert lo <= result.lambda_min <= hi
 
     def test_clean_scan_below_first_eigenvalue(self):
-        result = kx.lowest_friedrichs_eigenvalue(
-            kx.preset_pure(1, (0.0, 1.0)), lambda_max=5.0, coarse_steps=40
-        )
+        result = kx.lowest_friedrichs_eigenvalue(kx.preset_pure(1, (0.0, 1.0)), lambda_max=5.0)
         assert result.lambda_min is None
         assert result.certified_strictly_positive
         assert result.scan_bound == 5.0
-        assert len(result.scan_lambdas) == 41
+        assert len(result.scan_lambdas) == 201
 
     def test_quadratic_grid_biased_toward_zero(self):
-        result = kx.lowest_friedrichs_eigenvalue(
-            kx.preset_pure(1, (0.0, 1.0)), lambda_max=4.0, coarse_steps=20
-        )
+        result = kx.lowest_friedrichs_eigenvalue(kx.preset_pure(1, (0.0, 1.0)), lambda_max=4.0)
         gaps = np.diff(result.scan_lambdas)
         assert np.all(np.diff(gaps) > -1e-12)  # spacing grows with lambda
 

@@ -5,7 +5,7 @@ import pytest
 
 import kreinext as kx
 from kreinext.errors import EvaluationError, StructureError
-from kreinext.system import MatrixFn, as_matrix_fn, chebyshev_points
+from kreinext.system import VALIDATION_SAMPLES, MatrixFn, as_matrix_fn, chebyshev_points
 
 from conftest import assert_allclose
 
@@ -172,7 +172,7 @@ class TestPresets:
 
 class TestValidation:
     def test_presets_pass(self, pipeline):
-        report = kx.validate_hypothesis(pipeline.sys, samples=65)
+        report = kx.validate_hypothesis(pipeline.sys)
         assert report.passed, [c for c in report.checks if not c.ok]
 
     def test_upper_triangle_violation_detected(self):
@@ -180,12 +180,12 @@ class TestValidation:
         Z = [list(row) for row in sys.Z]
         Z[0][3] = MatrixFn.scalar(1.0)  # nonzero above the superdiagonal
         broken = kx.ShinZettlSystem(M=1, N=2, interval=sys.interval, W=sys.W, Z=Z)
-        report = kx.validate_hypothesis(broken, samples=17)
+        report = kx.validate_hypothesis(broken)
         assert not report.check("A2").ok
 
     def test_negative_weight_detected(self):
         sys = kx.preset_four_coeff(1, 1, "-1", 0, (0, 1))
-        report = kx.validate_hypothesis(sys, samples=17)
+        report = kx.validate_hypothesis(sys)
         assert not report.check("W_positive").ok
 
     def test_matches_pointwise_reference(self):
@@ -199,7 +199,7 @@ class TestValidation:
             W=MatrixFn([["x", "1"], ["0", "1"]]),
             Z=[[block(j, k) for k in range(4)] for j in range(4)],
         )
-        report = kx.validate_hypothesis(sys, samples=17)
+        report = kx.validate_hypothesis(sys)
         J = kx.block_j_matrix(2, 4)
 
         def min_eig(mat):
@@ -207,7 +207,7 @@ class TestValidation:
 
         ref = {"A1": np.inf, "A2": 0.0, "A3": 0.0, "W_positive": np.inf,
                "leading_positive": np.inf}
-        for x in chebyshev_points(0.0, 1.0, 17):
+        for x in chebyshev_points(0.0, 1.0, VALIDATION_SAMPLES):
             big = np.block([[blk(x) for blk in row] for row in sys.Z])
             for j in range(1, 4):
                 sigma = np.linalg.svd(sys.z_block(j, j + 1)(x), compute_uv=False)
@@ -240,7 +240,7 @@ class TestValidation:
             Z=[[MatrixFn.scalar(0.0), MatrixFn.scalar("x")],
                [MatrixFn.scalar(1.0), MatrixFn.scalar(0.0)]],
         )
-        report = kx.validate_hypothesis(sys, samples=17)
+        report = kx.validate_hypothesis(sys)
         assert not report.check("A1").ok
 
     def test_symmetry_violation_detected(self):
@@ -249,7 +249,7 @@ class TestValidation:
         Z = [list(row) for row in sys.Z]
         Z[0][0] = MatrixFn.scalar(1.0)  # -s block no longer matches s*
         broken = kx.ShinZettlSystem(M=1, N=1, interval=sys.interval, W=sys.W, Z=Z)
-        report = kx.validate_hypothesis(broken, samples=17)
+        report = kx.validate_hypothesis(broken)
         assert not report.check("A3").ok
 
 
