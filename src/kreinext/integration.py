@@ -274,11 +274,13 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
         while True:
             steps *= 2
             estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
-            done = estimate <= rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
-            done &= np.isfinite(estimate)  # a non-finite value is refined further
-            done, estimate = done.all(axis=1), estimate.max(axis=1)
+            bound = rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
+            done = (estimate <= bound) & np.isfinite(estimate)  # non-finite: refine further
+            # the message names the point furthest beyond its bound
+            worst = np.arange(len(todo)), np.argmax(estimate / bound, axis=1)
+            done, estimate, bound = done.all(axis=1), estimate[worst], bound[worst]
             rounds.append((todo[done], fine[done]))
-            todo, fine, estimate = todo[~done], fine[~done], estimate[~done]
+            todo, fine, estimate, bound = todo[~done], fine[~done], estimate[~done], bound[~done]
             if not todo.size:
                 # concatenated, so the imaginary part that only a finer mesh
                 # samples is kept
@@ -288,7 +290,7 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
                 _check_stack(fine, "lambda", lams[todo], f" with {steps} Magnus steps")
                 raise IntegrationError(
                     f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
-                    f"steps: error estimate {estimate[0]:.3e}"
+                    f"steps: error estimate {estimate[0]:.3e} exceeds {bound[0]:.3e}"
                 )
             coarse, (fine,) = fine, _magnus(sys, lams[todo], (2 * steps,), cells)
 

@@ -10,9 +10,10 @@ whole coarse grid is one batched matrix exponential and one batched SVD,
 and for a variable one it is the 6th-order Magnus propagator over the
 whole grid, on coefficients sampled once at Gauss nodes, followed by the
 same batched SVD.  Each local dip of the minimum singular value is refined
-by golden-section search through the same endpoint function.  A clean
-scan up to lambda_max certifies positivity only up to that bound; the
-report says so explicitly.
+by Brent's method on its square (golden-section search with parabolic
+steps) through the same endpoint function.  A clean scan up to lambda_max
+certifies positivity only up to that bound; the report says so
+explicitly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .system import ShinZettlSystem
 POSITIVITY_MARGIN = 1e-8
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 COARSE_STEPS = 200  # the coarse scan grid has COARSE_STEPS + 1 points
-GOLDEN_ITERATIONS = 90  # golden-section steps per dip, at most
+GOLDEN_ITERATIONS = 90  # evaluations per dip, at most
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,64 @@ def friedrichs_char_value(
 
 
 def _golden_minimize(f, lo, hi):
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_ITERATIONS):
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
+    """Brent's method (Brent 1973, ch. 5) on f(x)^2 over [lo, hi]: the
+    best x and f there.  Near a simple eigenvalue sigma is |g| with g
+    analytic, a V that no parabola fits; its square is smooth, so parabolic
+    steps land on the zero.  A degenerate parabola (equal or underflowed
+    values, a vertex outside the bracket or too close to an old point)
+    takes a golden-section step instead.  Stops once the bracket is
+    narrower than 1e-13 max(1, |x|), or after ``GOLDEN_ITERATIONS``
+    evaluations.  The name stays until the benchmark remap, because
+    ``spectral.refine_evals`` and ``refine_share`` are read through it."""
+    a, b = lo, hi
+    x = w = v = hi - GOLDEN * (hi - lo)
+    sigma_x = f(x)
+    fx = fw = fv = sigma_x * sigma_x
+    d = e = 0.0
+    for _ in range(GOLDEN_ITERATIONS - 1):
+        width = 1e-13 * max(1.0, abs(x))
+        if b - a < width:
             break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
+        # the minimum step: at width / 4 the last parabolic step, which
+        # lands near rounding level, is often replaced by a full one
+        middle, tol = 0.5 * (a + b), width / 16.0
+        p = q = 0.0
+        if abs(e) > tol:
+            # vertex of the parabola through (v, fv), (w, fw), (x, fx), as x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if middle > x else -tol
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            e = (a if x >= middle else b) - x
+            d = (1.0 - GOLDEN) * e
+        u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
+        sigma_u = f(u)
+        fu = sigma_u * sigma_u
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, sigma_x = u, fu, sigma_u
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, sigma_x
 
 
 def lowest_friedrichs_eigenvalue(
@@ -83,9 +127,9 @@ def lowest_friedrichs_eigenvalue(
     """Scan [0, lambda_max] for the first Friedrichs eigenvalue.
 
     Coarse sampling is biased toward zero (quadratic spacing); each local
-    dip of the minimum singular value is refined by golden-section search
-    and accepted as an eigenvalue only if the refined value is negligible
-    against the typical scan level.
+    dip of the minimum singular value is refined by Brent's method on its
+    square and accepted as an eigenvalue only if the refined value is
+    negligible against the typical scan level.
     """
     if lambda_max <= 0:
         raise StructureError("lambda_max must be positive")

@@ -694,9 +694,12 @@ class TestVariableCoefficients:
         assert run_cli(["compute", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "numerical failure: Magnus mesh not converged at lambda=")
-        assert len(captured.err.strip().splitlines()) == 1
+        found = re.fullmatch(r"numerical failure: Magnus mesh not converged at lambda=\S+ "
+                             r"with \d+ steps: error estimate (\S+) exceeds (\S+)\n",
+                             captured.err)
+        assert found, captured.err
+        value, bound = map(float, found.groups())
+        assert value > bound > 0.0
 
 
 
@@ -740,9 +743,6 @@ class TestEigenvalueBelowTheScanGrid:
 
 
 class TestEigenvalueMissedAtHighOrder:
-    @pytest.mark.xfail(strict=True, reason="sigma_min of the characteristic matrix is noisy "
-                       "at this scale: refinement ends above zero_level and the dip is "
-                       "rejected, so no eigenvalue is reported")
     def test_lowest_eigenvalue_of_pure_order_10(self):
         # -y^(10) = lambda y on [0, 1], clamped: lambda_1 = beta^10 with
         # beta = 9.34329794 the first root of the clamped determinant

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -286,9 +287,12 @@ class TestMagnus:
 
     def test_mesh_cap_raises_naming_lambda(self):
         sys = kx.preset_four_coeff(1, "1e6*sin(3000*x)", 1, 0, (0.0, 1.0))
-        with pytest.raises(IntegrationError, match=r"not converged at lambda=2\.0 "
-                           rf"with {integration.MAGNUS_MAX_STEPS} steps: error estimate"):
+        pattern = (r"not converged at lambda=2\.0 "
+                   rf"with {integration.MAGNUS_MAX_STEPS} steps: error estimate (\S+) exceeds (\S+)$")
+        with pytest.raises(IntegrationError, match=pattern) as caught:
             end_matrix(sys, 2.0)
+        value, bound = map(float, re.search(pattern, str(caught.value)).groups())
+        assert value > bound > 0.0
 
     @pytest.mark.parametrize("variable", [True, False], ids=["magnus", "expm"])
     def test_non_finite_raises_naming_lambda(self, variable):
