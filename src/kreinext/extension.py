@@ -139,9 +139,13 @@ def invert_B(pair: BoundaryPair) -> np.ndarray:
 
 
 def transfer_matrix(pair: BoundaryPair, B_inv: np.ndarray) -> np.ndarray:
-    if pair.role != "krein":
+    """T_K = B_K^-1 A_K, which is Psi(b; 0): the pair's own ``T``, as
+    propagated.  The product itself would re-form P21 by cancellation, so
+    ``B_inv`` is not read; it stays in the signature of the library chain
+    (A_K, B_K) -> B_K^-1 -> T_K."""
+    if pair.role != "krein" or pair.T is None:
         raise StructureError("transfer matrix applies to the Krein pair")
-    return B_inv @ pair.A
+    return pair.T
 
 
 def friedrichs_pair(M: int, N: int) -> BoundaryPair:

@@ -13,19 +13,18 @@ Two propagators, chosen by the system:
   of every step is a polynomial in lambda of degree at most 3; its
   coefficients are formed once per system and mesh, from one sample of
   S0 and E at the nodes, and serve every lambda.  One routine,
-  ``_magnus``, evaluates the exponents of a whole stack of lambdas by
-  Horner, exponentiates all of them in one batched ``expm``, reduces the
-  steps of each of ``cells`` equal cells by a pairwise tree, and chains
-  the cell products to Psi at the cells + 1 cell ends.  ``_propagate``
-  doubles the mesh from m = max(``MAGNUS_START_STEPS``, cells) until the
-  Richardson estimate |Psi_m - Psi_2m| / 63 meets the tolerances at every
-  cell end, with one ``_magnus`` batch per round: the first round takes
-  the m- and 2m-step meshes together.  The positivity scan reads
-  Psi(b; lambda) alone (``end_matrix``, one cell), in chunks of lambdas
-  whose first-round exponent stack fits ``MAGNUS_CHUNK_BYTES``; the kernel
-  basis and the bracket checks read the grid (``fundamental_matrix``, one
-  cell per grid step, at one lambda).  Both share the coefficients kept
-  on the system.
+  ``_magnus``, evaluates the exponents of one mesh for a whole stack of
+  lambdas by Horner, exponentiates all of them in one batched ``expm``,
+  reduces the steps of each of ``cells`` equal cells by a pairwise tree,
+  and chains the cell products to Psi at the cells + 1 cell ends.
+  ``_propagate`` doubles the mesh from m = max(``MAGNUS_START_STEPS``,
+  cells) until the Richardson estimate |Psi_m - Psi_2m| / 63 meets the
+  tolerances at every cell end, one ``_magnus`` call per mesh.  The
+  positivity scan reads Psi(b; lambda) alone (``end_matrix``, one cell),
+  in chunks of lambdas whose first-round exponent stacks fit
+  ``MAGNUS_CHUNK_BYTES``; the kernel basis and the bracket checks read the
+  grid (``fundamental_matrix``, one cell per grid step, at one lambda).
+  Both share the coefficients kept on the system.
 
 A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
 spaced points and nowhere else: the kernel basis and the boundary pair
@@ -46,8 +45,9 @@ DEFAULT_ABS_TOL = 1e-12
 GRID_POINTS = 65  # stored samples; >= 33 for bracket checks
 MAGNUS_START_STEPS = 32
 MAGNUS_MAX_STEPS = 4096
-# lambdas are propagated together as many at a time as keep their first-round
-# exponent stack, shape (lambdas, 3 MAGNUS_START_STEPS, n, n), within this many bytes
+# lambdas are propagated together as many at a time as keep the exponent stacks
+# of their first round, the m- and 2m-step meshes, 3 MAGNUS_START_STEPS n x n
+# matrices per lambda together, within this many bytes
 MAGNUS_CHUNK_BYTES = 96 * 2**10
 
 # Pade-13 coefficients and the 1-norm up to which Pade-13 needs no scaling
@@ -219,44 +219,29 @@ def _pairwise_products(psi: np.ndarray) -> np.ndarray:
     return psi[:, :, 0]
 
 
-def _magnus(sys: ShinZettlSystem, lams: np.ndarray, meshes, cells: int) -> list:
+def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> np.ndarray:
     """Psi at the ``cells + 1`` equally spaced points of [a, b] for each
-    lambda of a 1-D array: one array of shape (len(lams), cells + 1, n, n)
-    per mesh of ``meshes``, step counts that are power-of-two multiples of
-    cells.
+    lambda of a 1-D array, shape (len(lams), cells + 1, n, n), on ``steps``
+    equal steps, a power-of-two multiple of cells.
 
-    The exponents of every step of every mesh are formed by Horner in
-    lambda and exponentiated in one batched ``expm``.  The steps are
-    reduced by the same pairwise tree in blocks of min(meshes) / cells
-    steps, and the blocks of each mesh further to one product per cell, so
-    each mesh's values equal those of a call with that mesh alone."""
+    The exponents of every step are formed by Horner in lambda and
+    exponentiated in one batched ``expm``; the steps of each cell are
+    reduced by a pairwise tree, and the cell products chained."""
     lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
-    parts = [_omega_coefficients(sys, steps) for steps in meshes]
-    n = parts[0].shape[-1]
-    omega = np.empty((len(lams), sum(meshes), n, n), dtype=np.result_type(lams, *parts))
-    start = 0
-    for steps, coefficients in zip(meshes, parts):
-        view = omega[:, start:start + steps]
-        view[...] = coefficients[-1]
-        for c in coefficients[-2::-1]:
-            view *= lam
-            view += c
-        start += steps
-    block = min(meshes) // cells
-    blocks = _pairwise_products(expm(omega).reshape(len(lams), -1, block, n, n))
-    out, start = [], 0
-    for steps in meshes:
-        count = steps // block
-        psi = _pairwise_products(
-            blocks[:, start:start + count].reshape(len(lams), cells, -1, n, n))
-        start += count
-        values = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
-        values[:, 0] = np.eye(n)
-        values[:, 1] = psi[:, 0]
-        for k in range(1, cells):
-            values[:, k + 1] = psi[:, k] @ values[:, k]
-        out.append(values)
-    return out
+    coefficients = _omega_coefficients(sys, steps)
+    n = coefficients.shape[-1]
+    omega = np.empty((len(lams), steps, n, n), dtype=np.result_type(lams, coefficients))
+    omega[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        omega *= lam
+        omega += c
+    psi = _pairwise_products(expm(omega).reshape(len(lams), cells, -1, n, n))
+    values = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
+    values[:, 0] = np.eye(n)
+    values[:, 1] = psi[:, 0]
+    for k in range(1, cells):
+        values[:, k + 1] = psi[:, k] @ values[:, k]
+    return values
 
 
 def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_tol) -> np.ndarray:
@@ -264,15 +249,15 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
     doubled from m = max(``MAGNUS_START_STEPS``, cells) until the Richardson
     estimate of the 2m-step values, |Psi_m - Psi_2m| / 63, is within
     rel_tol |Psi_2m| + abs_tol at every point; the 2m-step values are
-    returned.  Each round is one ``_magnus`` batch: the first one takes
-    the m- and the 2m-step meshes together, every later one the next mesh."""
+    returned.  Each round forms the next mesh for the lambdas still open."""
     steps = max(MAGNUS_START_STEPS, cells)
     # an overflow shows up as a non-finite Psi, which raises IntegrationError
     with np.errstate(all="ignore"):
-        coarse, fine = _magnus(sys, lams, (steps, 2 * steps), cells)
+        fine = _magnus(sys, lams, steps, cells)
         todo, rounds = np.arange(len(lams)), []
         while True:
             steps *= 2
+            coarse, fine = fine, _magnus(sys, lams[todo], steps, cells)
             estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
             bound = rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
             done = (estimate <= bound) & np.isfinite(estimate)  # non-finite: refine further
@@ -292,7 +277,6 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
                     f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
                     f"steps: error estimate {estimate[0]:.3e} exceeds {bound[0]:.3e}"
                 )
-            coarse, (fine,) = fine, _magnus(sys, lams[todo], (2 * steps,), cells)
 
 
 def end_matrix(

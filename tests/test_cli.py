@@ -742,6 +742,44 @@ class TestEigenvalueBelowTheScanGrid:
         assert abs(lam - np.pi**2 / 1e6) <= 1e-5 * np.pi**2 / 1e6, lam
 
 
+class TestFeatureBetweenSamplePoints:
+    """A coefficient bump of width about 2e-6 at c = 0.606665.  It lies
+    between the 257 validation samples and at least 7.6e-4 from every Gauss
+    node of the 32- to 256-step Magnus meshes, so neither ever sees it.
+    Coefficient enclosures between the samples (ROADMAP direction 2) turn
+    these tests into passes."""
+
+    BUMP = "exp(-1e11*(x-0.606665)^2)"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 2: the Magnus meshes step "
+                       "over the spike; compute exits 0, labels the pair Krein--von "
+                       "Neumann and reports the T_K of the operator without it")
+    def test_spike_is_propagated_or_flagged(self, tmp_path):
+        cfg, out = tmp_path / "spike.ini", tmp_path / "spike.json"
+        cfg.write_text("[operator]\npreset = four-coeff\ninterval = 0, 1\n"
+                       f"p = 1\nq = 1+3e6*{self.BUMP}\nr = 1\n")
+        code = cli.main(["compute", "--config", str(cfg), "--out", str(out)])
+        if code == 0:
+            # as its width goes to 0, a spike of integral I at c acts as the
+            # jump y'(c+) - y'(c-) = I y(c) between two pieces of -y'' + y
+            c, jump = 0.606665, 3e6 * np.sqrt(np.pi / 1e11)
+
+            def phi(L):
+                return np.array([[np.cosh(L), np.sinh(L)], [np.sinh(L), np.cosh(L)]])
+
+            oracle = phi(1.0 - c) @ np.array([[1.0, 0.0], [jump, 1.0]]) @ phi(c)
+            matrices = json.loads(out.read_text())["matrices"]
+            T = np.array(matrices["T_K"]) @ np.array([1.0, 1j])
+            rel = np.linalg.norm(T - oracle) / np.linalg.norm(oracle)
+            assert matrices["role"] == "candidate" or rel <= 1e-3, rel
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 2: the weight is negative "
+                       "only between the validation samples, so W_positive reads 1.0")
+    def test_negative_weight_fails_validation(self):
+        sys_ = kx.preset_four_coeff(1, 1, f"1-2*{self.BUMP}", 0, (0.0, 1.0))
+        assert not kx.validate_hypothesis(sys_).passed
+
+
 class TestEigenvalueMissedAtHighOrder:
     def test_lowest_eigenvalue_of_pure_order_10(self):
         # -y^(10) = lambda y on [0, 1], clamped: lambda_1 = beta^10 with

@@ -5,6 +5,7 @@ import pytest
 
 import kreinext as kx
 from kreinext.errors import GammaBijectivityError, NumericalError, StructureError
+from kreinext.exact import toeplitz_TK
 from kreinext.extension import lambda_matrix, phi_blocks
 
 from conftest import Pipeline, assert_allclose
@@ -90,6 +91,12 @@ class TestKreinPair:
         with pytest.raises(StructureError):
             kx.invert_B(bare)
 
+    def test_transfer_matrix_requires_psi(self, pipeline):
+        krein = pipeline.krein
+        bare = kx.BoundaryPair(A=krein.A, B=krein.B, role="krein", M=krein.M, N=krein.N)
+        with pytest.raises(StructureError):
+            kx.transfer_matrix(bare, pipeline.B_inv)
+
     def test_invert_b_gate_names_value_and_bound(self, pipeline):
         # a Psi(b; 0) that does not belong to B: the message gives both numbers
         krein = pipeline.krein
@@ -111,6 +118,14 @@ class TestKreinPair:
         psi = pipeline.fm.end()
         rel = np.linalg.norm(pipeline.T - psi) / np.linalg.norm(psi)
         assert rel <= 1e-10, rel
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_transfer_matrix_against_toeplitz_closed_form(self, N):
+        # B_K^-1 A_K would re-form P21 by cancellation: 2.5e-10 off at order 12
+        T = Pipeline(kx.preset_pure(N, (0.0, 1.0))).T
+        exact = np.array(toeplitz_TK(N, (0, 1)), dtype=float)
+        rel = np.linalg.norm(T - exact) / np.linalg.norm(exact)
+        assert rel <= 1e-15, (2 * N, rel)
 
     def test_kernel_columns_satisfy_conditions(self, pipeline):
         for col in range(pipeline.sys.size):

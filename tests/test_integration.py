@@ -244,16 +244,6 @@ class TestMagnus:
         expected = direct_omega(sys, 32, lam)
         assert relative(omega, expected) <= 1e-14
 
-    @pytest.mark.parametrize("cells", [1, integration.GRID_POINTS - 1])
-    def test_one_batch_per_round_matches_separate_meshes(self, variable_systems, cells):
-        sys = variable_systems["fourth-order-seeded"]
-        lams = np.array([0.0, 17.0, -3.5])
-        m = max(integration.MAGNUS_START_STEPS, cells)
-        both = integration._magnus(sys, lams, (m, 2 * m), cells)
-        for steps, psi in zip((m, 2 * m), both):
-            assert psi.shape == (3, cells + 1, sys.size, sys.size)
-            assert np.array_equal(psi, integration._magnus(sys, lams, (steps,), cells)[0])
-
     def test_coefficients_sampled_once_per_mesh(self, monkeypatch):
         sys = kx.preset_four_coeff("1+x", "1+x^2", 1, 0, (0.0, 1.0))
         points = []
@@ -270,9 +260,9 @@ class TestMagnus:
     def test_observed_order_is_six(self, variable_systems):
         sys = variable_systems["readme"]
         lam = np.array([50.0])
-        ref = integration._magnus(sys, lam, (1024,), 1)[0][:, -1]
-        errors = [np.linalg.norm(psi[:, -1] - ref)
-                  for psi in integration._magnus(sys, lam, (8, 16, 32), 1)]
+        ref = integration._magnus(sys, lam, 1024, 1)[:, -1]
+        errors = [np.linalg.norm(integration._magnus(sys, lam, steps, 1)[:, -1] - ref)
+                  for steps in (8, 16, 32)]
         ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
         assert all(50.0 <= ratio <= 80.0 for ratio in ratios), ratios
 
