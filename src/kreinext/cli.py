@@ -284,16 +284,22 @@ def run(cfg: JobConfig):
         scan = spectral.lowest_friedrichs_eigenvalue(sys_, cfg.lambda_max,
                                                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
         certified = scan.certified_strictly_positive
+        if not certified:
+            note = (f"{scan.eigenvalues_below_margin} Friedrichs eigenvalue(s) at or below "
+                    f"the margin {spectral.POSITIVITY_MARGIN:g}; the lowest is not located")
+        elif scan.lambda_min is None:
+            note = ("no eigenvalue in [0, scan_bound]; the eigenvalue count at the margin "
+                    "certifies positivity with no bound")
+        else:
+            note = "lowest Friedrichs eigenvalue located"
         report["positivity"] = {
             "certified_strictly_positive": certified,
             "lambda_min": scan.lambda_min,
             "scan_bound": scan.scan_bound,
-            "note": (
-                "no eigenvalue found in [0, scan_bound]; certificate holds up to "
-                "the scan bound only"
-                if scan.lambda_min is None
-                else "lowest Friedrichs eigenvalue located"
-            ),
+            "note": note,
+            "eigenvalues_below_margin": scan.eigenvalues_below_margin,
+            "count_steps": scan.count_steps,
+            "largest_step_angle": scan.largest_step_angle,
         }
         if not certified:
             report["positivity"]["warning"] = (

@@ -219,6 +219,20 @@ def _pairwise_products(psi: np.ndarray) -> np.ndarray:
     return psi[:, :, 0]
 
 
+def _exponents(coefficients: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The Magnus exponent of each step at each lambda of a 1-D array, shape
+    (len(lams), steps, n, n), by Horner in lambda on a stack of
+    ``_omega_coefficients`` (or a slice of its steps)."""
+    lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
+    omega = np.empty((len(lams),) + coefficients.shape[1:],
+                     dtype=np.result_type(lams, coefficients))
+    omega[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        omega *= lam
+        omega += c
+    return omega
+
+
 def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> np.ndarray:
     """Psi at the ``cells + 1`` equally spaced points of [a, b] for each
     lambda of a 1-D array, shape (len(lams), cells + 1, n, n), on ``steps``
@@ -227,15 +241,10 @@ def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> n
     The exponents of every step are formed by Horner in lambda and
     exponentiated in one batched ``expm``; the steps of each cell are
     reduced by a pairwise tree, and the cell products chained."""
-    lam = lams[:, np.newaxis, np.newaxis, np.newaxis]
     coefficients = _omega_coefficients(sys, steps)
     n = coefficients.shape[-1]
-    omega = np.empty((len(lams), steps, n, n), dtype=np.result_type(lams, coefficients))
-    omega[...] = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        omega *= lam
-        omega += c
-    psi = _pairwise_products(expm(omega).reshape(len(lams), cells, -1, n, n))
+    exps = expm(_exponents(coefficients, lams))
+    psi = _pairwise_products(exps.reshape(len(lams), cells, -1, n, n))
     values = np.empty((len(lams), cells + 1, n, n), dtype=psi.dtype)
     values[:, 0] = np.eye(n)
     values[:, 1] = psi[:, 0]
@@ -249,7 +258,8 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
     doubled from m = max(``MAGNUS_START_STEPS``, cells) until the Richardson
     estimate of the 2m-step values, |Psi_m - Psi_2m| / 63, is within
     rel_tol |Psi_2m| + abs_tol at every point; the 2m-step values are
-    returned.  Each round forms the next mesh for the lambdas still open."""
+    returned, with the 2m of each lambda.  Each round forms the next mesh
+    for the lambdas still open."""
     steps = max(MAGNUS_START_STEPS, cells)
     # an overflow shows up as a non-finite Psi, which raises IntegrationError
     with np.errstate(all="ignore"):
@@ -264,13 +274,14 @@ def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_
             # the message names the point furthest beyond its bound
             worst = np.arange(len(todo)), np.argmax(estimate / bound, axis=1)
             done, estimate, bound = done.all(axis=1), estimate[worst], bound[worst]
-            rounds.append((todo[done], fine[done]))
+            rounds.append((todo[done], fine[done], np.full(done.sum(), steps)))
             todo, fine, estimate, bound = todo[~done], fine[~done], estimate[~done], bound[~done]
             if not todo.size:
                 # concatenated, so the imaginary part that only a finer mesh
                 # samples is kept
-                index, values = (np.concatenate(parts) for parts in zip(*rounds))
-                return values[np.argsort(index)]
+                index, values, meshes = (np.concatenate(parts) for parts in zip(*rounds))
+                order = np.argsort(index)
+                return values[order], meshes[order]
             if steps >= MAGNUS_MAX_STEPS:
                 _check_stack(fine, "lambda", lams[todo], f" with {steps} Magnus steps")
                 raise IntegrationError(
@@ -292,24 +303,33 @@ def end_matrix(
     whole stack; a variable one takes the Magnus propagator, in chunks of
     as many lambdas as ``MAGNUS_CHUNK_BYTES`` allows.
     """
+    lams = np.asarray(lam)
+    psi, _ = end_matrix_and_mesh(sys, lams.reshape(-1), rel_tol, abs_tol)
+    return psi.reshape(lams.shape + psi.shape[-2:])
+
+
+def end_matrix_and_mesh(sys: ShinZettlSystem, lams: np.ndarray, rel_tol: float,
+                        abs_tol: float):
+    """``end_matrix`` at each lambda of a 1-D array, and the steps of the
+    mesh whose Richardson estimate passed there: the first such mesh,
+    ``2 * MAGNUS_START_STEPS`` steps, for a constant system, whose
+    exponential is exact."""
     _check_tolerances(rel_tol, abs_tol)
     a, n = sys.interval.a, sys.size
-    lams = np.asarray(lam)
-    flat = lams.reshape(-1)
     if sys.is_constant:
         # an overflow shows up as a non-finite Psi, which raises IntegrationError
         with np.errstate(all="ignore"):
-            psi = expm(companion_matrix(sys, a, flat) * sys.interval.length)
-        _check_stack(psi, "lambda", flat, " of the matrix exponential")
-    else:
-        omega = _omega_coefficients(sys, MAGNUS_START_STEPS)
-        dtype = np.result_type(flat, omega)
-        chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * dtype.itemsize))
-        # concatenated, so a chunk whose finer meshes are complex stays complex
-        psi = np.concatenate([np.empty((0, n, n), dtype)] + [
-            _propagate(sys, flat[k:k + chunk], 1, rel_tol, abs_tol)[:, -1]
-            for k in range(0, len(flat), chunk)])
-    return psi.reshape(lams.shape + (n, n))
+            psi = expm(companion_matrix(sys, a, lams) * sys.interval.length)
+        _check_stack(psi, "lambda", lams, " of the matrix exponential")
+        return psi, np.full(len(lams), 2 * MAGNUS_START_STEPS)
+    omega = _omega_coefficients(sys, MAGNUS_START_STEPS)
+    dtype = np.result_type(lams, omega)
+    chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * dtype.itemsize))
+    chunks = [_propagate(sys, lams[k:k + chunk], 1, rel_tol, abs_tol)
+              for k in range(0, len(lams), chunk)]
+    # concatenated, so a chunk whose finer meshes are complex stays complex
+    psi = np.concatenate([np.empty((0, n, n), dtype)] + [values[:, -1] for values, _ in chunks])
+    return psi, np.concatenate([np.empty(0, int)] + [mesh for _, mesh in chunks])
 
 
 def fundamental_matrix(
@@ -325,6 +345,6 @@ def fundamental_matrix(
     if sys.is_constant:
         values = expm(companion_matrix(sys, a, lam) * (grid - a)[:, np.newaxis, np.newaxis])
     else:
-        values = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)[0]
+        values = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)[0][0]
     _check_stack(values, "x", grid)
     return FundamentalMatrix(sys=sys, grid=grid, values=values)

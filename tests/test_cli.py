@@ -139,6 +139,23 @@ class TestComputeCommand:
         positivity = json.loads(out.read_text())["positivity"]
         assert positivity["certified_strictly_positive"] is True
         assert abs(positivity["lambda_min"] - np.pi**2) <= 1e-5
+        assert positivity["note"] == "lowest Friedrichs eigenvalue located"
+        # the certificate is the count at the margin, made on a resolved mesh
+        assert positivity["eigenvalues_below_margin"] == 0
+        assert positivity["count_steps"] >= 64
+        assert 0.0 < positivity["largest_step_angle"] <= np.pi / 4
+
+    def test_certificate_needs_no_scan_bound(self, tmp_path):
+        # lambda_1 = pi^2 lies above the bound: the count at the margin still
+        # certifies positivity, and the note says that no bound limits it
+        out = tmp_path / "report.json"
+        args = ["compute", "--preset", "pure", "--order", "2", "--interval", "0,1",
+                "--lambda-max", "5", "--out", str(out)]
+        assert run_cli(args) == 0
+        positivity = json.loads(out.read_text())["positivity"]
+        assert positivity["certified_strictly_positive"] is True
+        assert positivity["lambda_min"] is None
+        assert "certifies positivity with no bound" in positivity["note"]
 
     def test_negative_left_endpoint_as_its_own_argument(self, capsys):
         # '--interval -1,1' is read as '--interval=-1,1', not as an option
@@ -586,14 +603,17 @@ class TestExitCodes:
         assert "ill-conditioned" in err and "strict-positivity" not in err
 
     def test_overflowing_scan_is_numerical_failure(self, capsys):
-        # Psi(b; lambda) overflows at the top of the scan; the propagator
-        # names the lambda before the scan sees a non-finite value
+        # the steps overflow at the top of the counted points; the message
+        # names the first such point before any count sees a non-finite value
         args = ["compute", "--preset", "pure", "--order", "2", "--lambda-max", "1e300"]
         assert run_cli(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "numerical failure: non-finite fundamental matrix at lambda=1.8225")
+        found = re.match(r"numerical failure: non-finite fundamental matrix at lambda=(\S+) ",
+                         captured.err)
+        assert found, captured.err
+        counted = 1e300 * (np.arange(1, 9) / 8.0) ** 2
+        assert np.isclose(float(found[1]), counted, rtol=1e-15, atol=0.0).any(), found[1]
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_growing_solutions_reach_the_report(self, tmp_path, capsys):
@@ -704,21 +724,19 @@ class TestVariableCoefficients:
 
 
 class TestFalsePositivityCertificates:
-    """Operators whose lowest Friedrichs eigenvalue lies below 0.  The scan
-    starts at lambda = 0, so each is certified strictly positive with the
-    next eigenvalue as lambda_min (19.478, 19.478, 19.69 and 29.95); a
-    positivity certificate that looks below 0 turns these tests into
-    passes."""
+    """Operators whose lowest Friedrichs eigenvalue lies below 0.  A scan
+    of [0, lambda_max] alone certified each of them, with the next
+    eigenvalue as lambda_min (19.478, 19.478, 19.69 and 29.95); the count
+    at the margin sees the eigenvalues below it."""
 
-    @pytest.mark.xfail(strict=True, reason="the scan never looks below lambda = 0")
     @pytest.mark.parametrize(
-        "block_size, q",
+        "block_size, q, below",
         # true lambda_1: pi^2 - 20 = -10.13 (a double one for M = 2);
         # finite differences give -3.75 and -1.83 for the variable ones
-        [(1, "-20"), (2, "-20"), (1, "100*sin(20*x)"), (1, "-30+40*x")],
+        [(1, "-20", 1), (2, "-20", 2), (1, "100*sin(20*x)", 1), (1, "-30+40*x", 1)],
         ids=["shifted-dirichlet", "shifted-dirichlet-m2", "oscillating-q", "linear-q"],
     )
-    def test_negative_lowest_eigenvalue_is_not_certified(self, tmp_path, block_size, q):
+    def test_negative_lowest_eigenvalue_is_not_certified(self, tmp_path, block_size, q, below):
         cfg = tmp_path / "job.ini"
         cfg.write_text(
             "[operator]\npreset = four-coeff\ninterval = 0, 1\n"
@@ -726,15 +744,18 @@ class TestFalsePositivityCertificates:
         )
         args = cli.build_arg_parser().parse_args(["verify", "--config", str(cfg)])
         _, report = cli.run(cli.config_from_args(args))
-        assert not report["positivity"]["certified_strictly_positive"]
+        positivity = report["positivity"]
+        assert not positivity["certified_strictly_positive"]
+        assert positivity["eigenvalues_below_margin"] == below
+        assert positivity["lambda_min"] is None and "not located" in positivity["note"]
         assert report["matrices"]["role"] == "candidate"
 
+
 class TestEigenvalueBelowTheScanGrid:
-    @pytest.mark.xfail(strict=True, reason="the scan's first nonzero point, 2.5e-3, lies "
-                       "above lambda_1; the lowest located dip is the 25th eigenvalue")
     def test_lowest_dirichlet_eigenvalue_on_long_interval(self):
-        # -y'' on [0, 1000]: lambda_1 = pi^2 / 10^6, but the scan reports
-        # (25 pi / 1000)^2 = 6.1685e-3 as the lowest eigenvalue
+        # -y'' on [0, 1000]: lambda_1 = pi^2 / 10^6 lay below the first
+        # nonzero point, 2.5e-3, of the 201-point grid that the counts
+        # replace, which reported the 25th eigenvalue (25 pi / 1000)^2
         args = cli.build_arg_parser().parse_args(
             ["compute", "--preset", "pure", "--order", "2", "--interval", "0,1000"])
         _, report = cli.run(cli.config_from_args(args))
