@@ -19,11 +19,10 @@ upper argument may be any integer or rational (generalized binomial).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 Matrix = List[List[Fraction]]
 IntMatrix = List[List[int]]
@@ -38,60 +37,6 @@ def binom(r, k: int):
     for i in range(k):
         num *= r - i
     return num // factorial(k) if isinstance(num, int) else num / factorial(k)
-
-
-def inv_factorial(n: int) -> Fraction:
-    """1/n! with the convention that 1/(negative)! is zero."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
-
-
-def binom_identity_check(which: str, **ranges) -> Tuple[bool, Optional[tuple]]:
-    """Exhaustively verify one of the three combinatorial identities.
-
-    Returns (ok, counterexample).  Ranges:
-      'i'   -- p_range, q_range (iterables of integers)
-      'ii'  -- r_range (nonnegative ints), s_values (ints/Fractions),
-               m_range, n_range (ints)
-      'iii' -- n_max (identity checked for all sizes up to n_max)
-    """
-    if which == "i":
-        for p in ranges.get("p_range", range(-6, 7)):
-            for q in ranges.get("q_range", range(-6, 7)):
-                lhs = binom(-p, q)
-                rhs = (-1) ** max(q, 0) * binom(p + q - 1, q)
-                if q < 0:
-                    rhs = 0
-                if lhs != rhs:
-                    return False, ("i", p, q, lhs, rhs)
-        return True, None
-    if which == "ii":
-        for r in ranges.get("r_range", range(0, 9)):
-            for s in ranges.get("s_values", list(range(0, 9)) + [Fraction(1, 2), Fraction(7, 3)]):
-                for m in ranges.get("m_range", range(-4, 5)):
-                    for n in ranges.get("n_range", range(-4, 5)):
-                        # first factor vanishes unless 0 <= m + k <= r
-                        lhs = sum(
-                            binom(r, m + k) * binom(s, n + k)
-                            for k in range(-m, r - m + 1)
-                        )
-                        rhs = binom(r + s, r - m + n)
-                        if lhs != rhs:
-                            return False, ("ii", r, s, m, n, lhs, rhs)
-        return True, None
-    if which == "iii":
-        for n in range(1, ranges.get("n_max", 12) + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    total = sum(
-                        (-1) ** (ell + k) * binom(j - 1, ell - 1) * binom(ell - 1, k - 1)
-                        for ell in range(1, n + 1)
-                    )
-                    if total != (1 if j == k else 0):
-                        return False, ("iii", n, j, k, total)
-        return True, None
-    raise ValueError(f"unknown identity {which!r}")
 
 
 def _over(X: Matrix) -> Scaled:
@@ -155,10 +100,6 @@ def lambda_matrix_exact(N: int) -> Matrix:
     return _fractions(_lambda_rows(N), 1)
 
 
-def matrix_D(N: int) -> Matrix:
-    return [row[N:] for row in lambda_matrix_exact(N)[N:]]
-
-
 def _binomial_sums(N: int) -> IntMatrix:
     """S[j][k] = sum_l C(l-1, j-1) C(N-1+l-k, N-1), l = 1..N (1-based): the
     binomial sum inside both D^-1 and D^-1 C A^-1."""
@@ -180,17 +121,6 @@ def _coupling_block(N: int, S: IntMatrix) -> IntMatrix:
     f = factorial(N - 1)
     return [[f // factorial(k) * sum((-1) ** (j + r) * comb(k, r) * S[j][r] for r in range(k + 1))
              for k in range(N)] for j in range(N)]
-
-
-def matrix_D_inverse(N: int) -> Matrix:
-    """Closed-form inverse of the right-endpoint derivative block.
-
-    Entry (j, k) is sum_l (-1)^(j+k)/(k-1)! C(l-1, j-1) C(N-1+l-k, l-k).
-    It is not checked here: the lower right block of the product that
-    ``lambda_inverse`` checks is D D^-1 = I, and for a square matrix a
-    one-sided inverse is two-sided.
-    """
-    return _fractions(_d_inverse_rows(N, _binomial_sums(N)), factorial(N - 1))
 
 
 def _lambda_inverse_rows(N: int) -> IntMatrix:
@@ -220,25 +150,6 @@ def _derivative_rows(n: int, orders, u: Fraction) -> Scaled:
              for l in range(n)] for m in orders], q ** (n - 1)
 
 
-@dataclass(frozen=True)
-class ScaledBasis:
-    """The boundary basis carried to [a, b] by shift and scale.
-
-    ``coeffs[l][k]`` multiplies (x - a)^l.  ``a``, ``length`` and the
-    entries are Fractions.
-    """
-
-    N: int
-    a: Fraction
-    length: Fraction
-    coeffs: Matrix
-
-    def derivative_at(self, k: int, order: int, x) -> Fraction:
-        (column,), den = _over([[row[k - 1] for row in self.coeffs]])
-        (weights,), scale = _derivative_rows(2 * self.N, [order], Fraction(x) - self.a)
-        return Fraction(sum(map(mul, weights, column)), scale * den)
-
-
 def _interval_data(interval):
     """Exact left endpoint and length."""
     a, b = interval
@@ -257,15 +168,6 @@ def _scaled_rows(N: int, L: IntMatrix, hp: dict) -> IntMatrix:
     (N-1)! (pq)^(2N-1): column c of the [0, 1] basis (L over (N-1)!) is
     scaled by h^(c mod N) and its coefficient l by h^-l."""
     return [[v * hp[c % N - l] for c, v in enumerate(row)] for l, row in enumerate(L)]
-
-
-def phi_on_interval(N: int, interval) -> ScaledBasis:
-    """The 2N boundary-interpolation polynomials on the interval: the j-th
-    derivative at a and b hits the standard basis pattern."""
-    a, h = _interval_data(interval)
-    hp = _h_powers(h, N)
-    rows = _scaled_rows(N, _lambda_inverse_rows(N), hp)
-    return ScaledBasis(N=N, a=a, length=h, coeffs=_fractions(rows, factorial(N - 1) * hp[0]))
 
 
 def phi_blocks(N: int, interval):

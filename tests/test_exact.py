@@ -1,8 +1,13 @@
 """Exact rational suite for the pure operator: combinatorial identities,
-closed-form inverses, boundary bases, and the Toeplitz factorization."""
+closed-form inverses, boundary bases, and the Toeplitz factorization.
 
+The helpers below are the checks' own: the program does not call them."""
+
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -11,6 +16,106 @@ import kreinext as kx
 from kreinext import exact
 
 from conftest import assert_allclose
+
+
+def inv_factorial(n: int) -> Fraction:
+    """1/n! with the convention that 1/(negative)! is zero."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(1, factorial(n))
+
+
+def binom_identity_check(which: str, **ranges) -> Tuple[bool, Optional[tuple]]:
+    """Exhaustively verify one of the three combinatorial identities.
+
+    Returns (ok, counterexample).  Ranges:
+      'i'   -- p_range, q_range (iterables of integers)
+      'ii'  -- r_range (nonnegative ints), s_values (ints/Fractions),
+               m_range, n_range (ints)
+      'iii' -- n_max (identity checked for all sizes up to n_max)
+    """
+    if which == "i":
+        for p in ranges.get("p_range", range(-6, 7)):
+            for q in ranges.get("q_range", range(-6, 7)):
+                lhs = exact.binom(-p, q)
+                rhs = (-1) ** max(q, 0) * exact.binom(p + q - 1, q)
+                if q < 0:
+                    rhs = 0
+                if lhs != rhs:
+                    return False, ("i", p, q, lhs, rhs)
+        return True, None
+    if which == "ii":
+        for r in ranges.get("r_range", range(0, 9)):
+            for s in ranges.get("s_values", list(range(0, 9)) + [Fraction(1, 2), Fraction(7, 3)]):
+                for m in ranges.get("m_range", range(-4, 5)):
+                    for n in ranges.get("n_range", range(-4, 5)):
+                        # first factor vanishes unless 0 <= m + k <= r
+                        lhs = sum(
+                            exact.binom(r, m + k) * exact.binom(s, n + k)
+                            for k in range(-m, r - m + 1)
+                        )
+                        rhs = exact.binom(r + s, r - m + n)
+                        if lhs != rhs:
+                            return False, ("ii", r, s, m, n, lhs, rhs)
+        return True, None
+    if which == "iii":
+        for n in range(1, ranges.get("n_max", 12) + 1):
+            for j in range(1, n + 1):
+                for k in range(1, n + 1):
+                    total = sum(
+                        (-1) ** (ell + k) * exact.binom(j - 1, ell - 1)
+                        * exact.binom(ell - 1, k - 1)
+                        for ell in range(1, n + 1)
+                    )
+                    if total != (1 if j == k else 0):
+                        return False, ("iii", n, j, k, total)
+        return True, None
+    raise ValueError(f"unknown identity {which!r}")
+
+
+def matrix_D(N: int) -> exact.Matrix:
+    return [row[N:] for row in exact.lambda_matrix_exact(N)[N:]]
+
+
+def matrix_D_inverse(N: int) -> exact.Matrix:
+    """Closed-form inverse of the right-endpoint derivative block.
+
+    Entry (j, k) is sum_l (-1)^(j+k)/(k-1)! C(l-1, j-1) C(N-1+l-k, l-k).
+    It is not checked here: the lower right block of the product that
+    ``lambda_inverse`` checks is D D^-1 = I, and for a square matrix a
+    one-sided inverse is two-sided.
+    """
+    rows = exact._d_inverse_rows(N, exact._binomial_sums(N))
+    return exact._fractions(rows, factorial(N - 1))
+
+
+@dataclass(frozen=True)
+class ScaledBasis:
+    """The boundary basis carried to [a, b] by shift and scale.
+
+    ``coeffs[l][k]`` multiplies (x - a)^l.  ``a``, ``length`` and the
+    entries are Fractions.
+    """
+
+    N: int
+    a: Fraction
+    length: Fraction
+    coeffs: exact.Matrix
+
+    def derivative_at(self, k: int, order: int, x) -> Fraction:
+        (column,), den = exact._over([[row[k - 1] for row in self.coeffs]])
+        (weights,), scale = exact._derivative_rows(2 * self.N, [order], Fraction(x) - self.a)
+        return Fraction(sum(map(mul, weights, column)), scale * den)
+
+
+def phi_on_interval(N: int, interval) -> ScaledBasis:
+    """The 2N boundary-interpolation polynomials on the interval: the j-th
+    derivative at a and b hits the standard basis pattern."""
+    a, h = exact._interval_data(interval)
+    hp = exact._h_powers(h, N)
+    rows = exact._scaled_rows(N, exact._lambda_inverse_rows(N), hp)
+    coeffs = exact._fractions(rows, factorial(N - 1) * hp[0])
+    return ScaledBasis(N=N, a=a, length=h, coeffs=coeffs)
 
 
 class TestBinomials:
@@ -30,22 +135,22 @@ class TestBinomials:
                 )
 
     def test_inv_factorial_convention(self):
-        assert exact.inv_factorial(-1) == 0
-        assert exact.inv_factorial(0) == 1
-        assert exact.inv_factorial(4) == Fraction(1, 24)
+        assert inv_factorial(-1) == 0
+        assert inv_factorial(0) == 1
+        assert inv_factorial(4) == Fraction(1, 24)
 
 
 class TestCombinatorialIdentities:
     @pytest.mark.parametrize("which", ["i", "ii", "iii"])
     def test_identity_holds(self, which):
-        ok, counterexample = exact.binom_identity_check(which)
+        ok, counterexample = binom_identity_check(which)
         assert ok, counterexample
 
 
 class TestClosedFormInverses:
     @pytest.mark.parametrize("N", range(1, 11))
     def test_d_inverse_matches_elimination_oracle(self, N):
-        assert exact.matrix_D_inverse(N) == exact.gauss_inverse(exact.matrix_D(N))
+        assert matrix_D_inverse(N) == exact.gauss_inverse(matrix_D(N))
 
     @pytest.mark.parametrize("N", range(1, 11))
     def test_lambda_inverse_matches_elimination_oracle(self, N):
@@ -76,7 +181,7 @@ class TestClosedFormInverses:
 class TestBoundaryBasis:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_unit_traces_on_reference_interval(self, N):
-        basis = exact.phi_on_interval(N, (0, 1))
+        basis = phi_on_interval(N, (0, 1))
         for k in range(1, 2 * N + 1):
             for j in range(1, N + 1):
                 want_a = Fraction(1) if k == j else Fraction(0)
@@ -87,7 +192,7 @@ class TestBoundaryBasis:
     @pytest.mark.parametrize("interval", [(0, 1), (Fraction(1, 3), Fraction(7, 2))])
     def test_unit_traces_on_scaled_interval(self, interval):
         N = 3
-        basis = exact.phi_on_interval(N, interval)
+        basis = phi_on_interval(N, interval)
         a = Fraction(interval[0])
         b = Fraction(interval[1])
         for k in range(1, 2 * N + 1):
@@ -143,7 +248,7 @@ class TestPhiBlocks:
         h = Fraction(np.sqrt(2.0))
         phi0_a, _, _, _ = exact.phi_blocks(1, (0.0, np.sqrt(2.0)))
         assert phi0_a == [[-1 / h]]
-        assert exact.phi_on_interval(1, (0.0, np.sqrt(2.0))).length == h
+        assert phi_on_interval(1, (0.0, np.sqrt(2.0))).length == h
         assert exact.toeplitz_TK(1, (0.0, np.sqrt(2.0))) == [[1, h], [0, 1]]
 
 
@@ -200,9 +305,9 @@ class TestFactorization:
 def test_results_are_fractions_in_lowest_terms(N, interval):
     matrices = [
         exact.lambda_inverse(N),
-        exact.matrix_D_inverse(N),
+        matrix_D_inverse(N),
         exact.toeplitz_TK(N, interval),
-        exact.phi_on_interval(N, interval).coeffs,
+        phi_on_interval(N, interval).coeffs,
         *exact.phi_blocks(N, interval),
     ]
     for matrix in matrices:

@@ -36,6 +36,13 @@ def dop853(sys, lam, grid) -> np.ndarray:
     ).y.T.reshape(len(grid), n, n)
 
 
+def own_mesh(sys, lam) -> int:
+    """The steps of the Magnus mesh whose Psi(b) ``end_matrix`` returns at
+    lambda alone."""
+    return next(int(m) for m in 2 ** np.arange(6, 13) if np.array_equal(
+        integration._magnus(sys, np.array([lam]), int(m), 1)[0, -1], end_matrix(sys, lam)))
+
+
 def direct_omega(sys, steps, lam) -> np.ndarray:
     """The Magnus-6 exponents of steps equal steps at one lambda, from the
     three-node formula on S(x; lambda) itself (Blanes, Casas, Oteo & Ros
@@ -221,18 +228,27 @@ class TestMagnus:
     def test_batched_stack_matches_scalar_calls(self, variable_systems, monkeypatch):
         # bit for bit, negative lambdas included, on every variable operator
         # and every constant preset; 41 lambdas fill several chunks and a
-        # part under the byte budget, and 41 under a budget of one lambda
+        # part under the byte budget, and 41 under a budget of one lambda.
+        # A variable system's stack is on the finest mesh that one lambda
+        # needs alone (64 or 128 steps here), so that it is one analytic
+        # function of lambda
         systems = [*variable_systems.values(), *(build() for build in PRESETS.values())]
         lams = np.linspace(-50.0, 100.0, 41)
         budgets = (integration.MAGNUS_CHUNK_BYTES, 1)
+        finer = False
         for sys in systems:
             scalar = np.array([end_matrix(sys, lam) for lam in lams.tolist()])
+            if not sys.is_constant:
+                meshes = [own_mesh(sys, lam) for lam in lams]
+                finer |= min(meshes) < max(meshes)
+                scalar = integration._magnus(sys, lams, max(meshes), 1)[:, -1]
             for budget in budgets:
                 monkeypatch.setattr(integration, "MAGNUS_CHUNK_BYTES", budget)
                 assert np.array_equal(end_matrix(sys, lams), scalar), (sys, budget)
             n = sys.size
             assert end_matrix(sys, lams[:6].reshape(2, 3)).shape == (2, 3, n, n)
             assert end_matrix(sys, lams[:0]).shape == (0, n, n)
+        assert finer
 
     @pytest.mark.parametrize("lam", [0.0, 10.0, 1e3, 1e5, -50.0, 3 + 4j])
     @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))

@@ -9,8 +9,12 @@ import pytest
 import kreinext as kx
 from kreinext import integration, spectral
 from kreinext.errors import StructureError
-from kreinext.integration import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, end_matrix_and_mesh
+from kreinext.extension import lambda_matrix
+from kreinext.integration import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, end_matrix
 from kreinext.spectral import friedrichs_char_value
+
+from conftest import PRESETS, VARIABLE_OPERATORS
+from test_integration import own_mesh
 
 BEAM_MU = 4.730040744862704  # first root of cos(mu) cosh(mu) = 1 above zero
 # -y^(10) = lambda y on [0, 1], clamped: lambda_1 = beta^10, beta = 9.3432979412
@@ -19,11 +23,8 @@ PURE_10_LAMBDA_1 = 5069930191.35
 
 
 def counts(sys, lams):
-    """The eigenvalue counts at an array of lambdas, each on the mesh that
-    the propagator's Richardson test passed there."""
-    lams = np.asarray(lams, dtype=float)
-    _, mesh = end_matrix_and_mesh(sys, lams, DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
-    return spectral.eigenvalue_counts(sys, lams, mesh)[0]
+    """The eigenvalue counts at an array of lambdas."""
+    return spectral.eigenvalue_counts(sys, lams)[0]
 
 
 class TestCharacteristicValue:
@@ -62,10 +63,9 @@ class TestCounts:
         # orthonormalized: the reference loop
         sys = build()
         lams = np.array([1e-8, 50.0, 3e3, 2e5])
-        _, mesh = end_matrix_and_mesh(sys, lams, DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
-        chunked = spectral.eigenvalue_counts(sys, lams, mesh)
+        chunked = spectral.eigenvalue_counts(sys, lams)
         monkeypatch.setattr(spectral, "FRAME_GROWTH", 1e-300)
-        stepwise = spectral.eigenvalue_counts(sys, lams, mesh)
+        stepwise = spectral.eigenvalue_counts(sys, lams)
         assert chunked[0].tolist() == stepwise[0].tolist()
         assert np.abs(chunked[2] - stepwise[2]).max() <= 1e-9
 
@@ -93,7 +93,7 @@ class TestCounts:
         # reads as -0.17 rad and counted 1; the bound on the turn refines the
         # mesh first, and W turns uniformly, by 2 sqrt(lambda) h a step
         (count,), (mesh,), (turn,) = spectral.eigenvalue_counts(
-            kx.preset_pure(1, (0.0, 1.0)), [lam], [64])
+            kx.preset_pure(1, (0.0, 1.0)), [lam])
         assert count == int(np.sqrt(lam) / np.pi)
         assert abs(turn - 2.0 * np.sqrt(lam) / mesh) <= 1e-9 and turn <= spectral.MAX_STEP_TURN
 
@@ -103,7 +103,16 @@ class TestCounts:
         with pytest.raises(kx.IntegrationError, match="eigenvalue count not resolved at "
                            r"lambda=1000000.0 with 1024 steps: a step may turn arg det W by "
                            r"3.906e\+00, beyond 1.571e\+00$"):
-            spectral.eigenvalue_counts(kx.preset_pure(1, (0.0, 1.0)), [1.0, 1e6], [64, 64])
+            spectral.eigenvalue_counts(kx.preset_pure(1, (0.0, 1.0)), [1.0, 1e6])
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_OPERATORS))
+    def test_count_mesh_is_the_propagators(self, variable_systems, name):
+        # the count runs the propagator's Richardson test on its own step
+        # products, so its mesh is the one whose Psi(b) end_matrix returns
+        sys = variable_systems[name]
+        lams = np.array([spectral.POSITIVITY_MARGIN, 50.0, 100.0])
+        _, meshes, _ = spectral.eigenvalue_counts(sys, lams)
+        assert meshes.tolist() == [own_mesh(sys, lam) for lam in lams]
 
     def test_variable_count_keeps_the_propagator_step_cap(self):
         # the bound asks for 32768 steps; a variable system's exponent
@@ -111,7 +120,7 @@ class TestCounts:
         sys = kx.preset_four_coeff(1, "1+x", 1, 0, (0.0, 1.0))
         with pytest.raises(kx.IntegrationError, match="eigenvalue count not resolved at "
                            f"lambda=100000000.0 with {integration.MAGNUS_MAX_STEPS} steps"):
-            spectral.eigenvalue_counts(sys, [1e8], [64])
+            spectral.eigenvalue_counts(sys, [1e8])
         assert max(sys._omega) == integration.MAGNUS_MAX_STEPS
 
 
@@ -216,14 +225,16 @@ class TestRefinement:
         assert len(calls) <= spectral.GOLDEN_ITERATIONS + 1
 
     def test_scan_refines_its_dip_in_few_evaluations(self, monkeypatch):
-        # -y'' + y on [0, 1]: Brent inside the bracket that counts give,
-        # where golden-section search made 59 calls
-        char, calls = counted(friedrichs_char_value)
-        monkeypatch.setattr(spectral, "friedrichs_char_value", char)
+        # -y'' + y on [0, 1]: Brent inside the bracket that counts give reads
+        # the interpolant of one batched propagation, where it made 21
+        # sequential evaluations of sigma and golden-section search 59
+        propagate, calls = counted(end_matrix)
+        monkeypatch.setattr(spectral, "end_matrix", propagate)
         result = kx.lowest_friedrichs_eigenvalue(
             kx.preset_four_coeff(1, 1, 1, 0, (0.0, 1.0)), lambda_max=100.0)
         assert abs(result.lambda_min - (1.0 + np.pi**2)) <= 1e-11
-        assert len(calls) <= 21
+        assert len(calls) <= 2
+        assert sum(np.size(lam) for _, lam, *_ in calls) <= 33
 
     def test_high_order_refines_only_the_counted_bracket(self, monkeypatch):
         # pure order 10 at lambda_max 1e10: refining each dip of the noisy
@@ -233,6 +244,52 @@ class TestRefinement:
         result = kx.lowest_friedrichs_eigenvalue(kx.preset_pure(5, (0.0, 1.0)), lambda_max=1e10)
         assert abs(result.lambda_min - PURE_10_LAMBDA_1) <= 1e-8 * PURE_10_LAMBDA_1
         assert len(calls) <= 60
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("name", ["four-coeff", "readme"])
+    def test_interpolant_matches_sigma_in_the_bracket(self, variable_systems, name):
+        sys = variable_systems[name] if name in VARIABLE_OPERATORS else PRESETS[name]()
+        lo, hi = kx.lowest_friedrichs_eigenvalue(sys, 50.0).bracket
+        sigma = spectral._interpolated_sigma(sys, lo, hi, DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+        lams = np.linspace(lo, hi, 50)
+        norm = np.linalg.norm(lambda_matrix(end_matrix(sys, lams)), ord=2, axis=(1, 2)).max()
+        error = [abs(sigma(lam) - direct)
+                 for lam, direct in zip(lams, friedrichs_char_value(sys, lams))]
+        assert max(error) <= 1e-13 * norm
+
+    @pytest.mark.parametrize("name, lambda_max", [
+        ("four-coeff", 100.0), ("pure-1", 100.0), ("pure-2", 1000.0), ("fourth-order", 100.0),
+        ("readme", 50.0), ("four-coeff-seeded", 50.0), ("fourth-order-seeded", 1000.0),
+        ("four-coeff-m2", 100.0), ("four-coeff-m2-constant", 100.0),
+        ("pure-1-on-0-1000", 100.0), ("q100-on-0-2", 200.0),
+    ])
+    def test_lowest_eigenvalue_matches_direct_brent(self, variable_systems, monkeypatch, name,
+                                                    lambda_max):
+        # the scan operators of the benchmark, lambda_max raised where their
+        # lambda_1 lies above it; a double lambda_1, variable (four-coeff-m2)
+        # and constant (1 + pi^2 twice); a long interval; and a stiff one
+        builds = {**PRESETS,
+                  "four-coeff-m2-constant": lambda: kx.preset_four_coeff(1, 1, 1, 0, (0.0, 1.0),
+                                                                          M=2),
+                  "pure-1-on-0-1000": lambda: kx.preset_pure(1, (0.0, 1000.0)),
+                  "q100-on-0-2": lambda: kx.preset_four_coeff(1, 100, 1, 0, (0.0, 2.0))}
+        sys = variable_systems[name] if name in VARIABLE_OPERATORS else builds[name]()
+        interpolated = kx.lowest_friedrichs_eigenvalue(sys, lambda_max).lambda_min
+        monkeypatch.setattr(spectral, "_interpolated_sigma", lambda *args: None)
+        direct = kx.lowest_friedrichs_eigenvalue(sys, lambda_max).lambda_min
+        assert abs(interpolated - direct) <= 1e-12 * direct, (interpolated, direct)
+
+    def test_noisy_lambda_takes_the_direct_path(self, monkeypatch):
+        # pure order 10 at 1e10: Psi(b) is noisy well above rounding, and
+        # no interpolant resolves it
+        interpolated = []
+        interpolant = spectral._interpolated_sigma
+        monkeypatch.setattr(spectral, "_interpolated_sigma",
+                            lambda *args: interpolated.append(interpolant(*args)))
+        result = kx.lowest_friedrichs_eigenvalue(kx.preset_pure(5, (0.0, 1.0)), lambda_max=1e10)
+        assert interpolated == [None]
+        assert abs(result.lambda_min - PURE_10_LAMBDA_1) <= 1e-8 * PURE_10_LAMBDA_1
 
 
 def chebyshev(n):

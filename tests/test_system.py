@@ -7,7 +7,12 @@ import kreinext as kx
 from kreinext.errors import EvaluationError, StructureError
 from kreinext.system import VALIDATION_SAMPLES, MatrixFn, as_matrix_fn, chebyshev_points
 
-from conftest import assert_allclose
+from conftest import PRESETS, assert_allclose
+
+
+def z_block(sys, j, k):
+    """1-based access to the coefficient grid."""
+    return sys.Z[j - 1][k - 1]
 
 
 class TestInterval:
@@ -111,7 +116,7 @@ class TestPresets:
     def test_pure_grid(self):
         sys = kx.preset_pure(2, (0.0, 1.0))
         Z = np.array(
-            [[sys.z_block(j, k)(0.5).item() for k in range(1, 5)] for j in range(1, 5)]
+            [[z_block(sys, j, k)(0.5).item() for k in range(1, 5)] for j in range(1, 5)]
         )
         assert_allclose(Z, np.eye(4, k=1), 0)
         assert sys.order == 4 and sys.size == 4
@@ -119,7 +124,7 @@ class TestPresets:
     def test_fourth_order_grid(self):
         sys = kx.preset_fourth_order()
         Z = np.array(
-            [[sys.z_block(j, k)(0.5).item() for k in range(1, 5)] for j in range(1, 5)]
+            [[z_block(sys, j, k)(0.5).item() for k in range(1, 5)] for j in range(1, 5)]
         )
         expected = np.eye(4, k=1)
         expected[3, 0] = -1.0
@@ -128,10 +133,10 @@ class TestPresets:
 
     def test_four_coeff_grid(self):
         sys = kx.preset_four_coeff("2", "x", "1", "i", (0.0, 1.0))
-        Z11 = sys.z_block(1, 1)(0.3).item()
-        Z12 = sys.z_block(1, 2)(0.3).item()
-        Z21 = sys.z_block(2, 1)(0.3).item()
-        Z22 = sys.z_block(2, 2)(0.3).item()
+        Z11 = z_block(sys, 1, 1)(0.3).item()
+        Z12 = z_block(sys, 1, 2)(0.3).item()
+        Z21 = z_block(sys, 2, 1)(0.3).item()
+        Z22 = z_block(sys, 2, 2)(0.3).item()
         assert Z11 == -1j  # -s
         assert abs(Z12 - 0.5) < 1e-15  # 1/p
         assert abs(Z21 - 0.3) < 1e-15  # q
@@ -140,7 +145,7 @@ class TestPresets:
     def test_four_coeff_matrix_block(self):
         P = np.array([[2.0, 0.0], [0.0, 4.0]])
         sys = kx.preset_four_coeff(P, np.eye(2), np.eye(2), np.zeros((2, 2)), (0, 1), M=2)
-        assert_allclose(sys.z_block(1, 2)(0.0), np.linalg.inv(P), 1e-15)
+        assert_allclose(z_block(sys, 1, 2)(0.0), np.linalg.inv(P), 1e-15)
 
     @pytest.mark.parametrize(
         "build",
@@ -157,7 +162,7 @@ class TestPresets:
             for j in range(1, sys.order + 1):
                 for k in range(1, sys.order + 1):
                     block = grid[(j - 1) * M : j * M, (k - 1) * M : k * M]
-                    assert np.array_equal(block, sys.z_block(j, k)(x))
+                    assert np.array_equal(block, z_block(sys, j, k)(x))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(StructureError):
@@ -182,6 +187,21 @@ class TestValidation:
         broken = kx.ShinZettlSystem(M=1, N=2, interval=sys.interval, W=sys.W, Z=Z)
         report = kx.validate_hypothesis(broken)
         assert not report.check("A2").ok
+
+    @pytest.mark.parametrize("build", [
+        *PRESETS.values(),
+        lambda: kx.preset_four_coeff(1, -20, 1, 0, (0.0, 1.0), M=3),
+        lambda: kx.preset_four_coeff(np.eye(2), [[1, 0.5j], [-0.5j, 1]], [[2, 1], [1, -1]],
+                                     [[0, 1j], [0, 0]], (0.0, 2.0), M=2),
+    ])
+    def test_constant_system_checks_one_sample(self, build, monkeypatch):
+        # the report of one matrix is that of all VALIDATION_SAMPLES of it
+        sys = build()
+        assert sys.is_constant
+        report = kx.validate_hypothesis(sys)
+        monkeypatch.setattr(kx.ShinZettlSystem, "is_constant", property(lambda self: False))
+        assert report == kx.validate_hypothesis(sys)
+        assert report.samples == VALIDATION_SAMPLES
 
     def test_negative_weight_detected(self):
         sys = kx.preset_four_coeff(1, 1, "-1", 0, (0, 1))
@@ -210,14 +230,14 @@ class TestValidation:
         for x in chebyshev_points(0.0, 1.0, VALIDATION_SAMPLES):
             big = np.block([[blk(x) for blk in row] for row in sys.Z])
             for j in range(1, 4):
-                sigma = np.linalg.svd(sys.z_block(j, j + 1)(x), compute_uv=False)
+                sigma = np.linalg.svd(z_block(sys, j, j + 1)(x), compute_uv=False)
                 ref["A1"] = min(ref["A1"], sigma.min())
                 for k in range(j + 2, 5):
-                    ref["A2"] = max(ref["A2"], np.linalg.norm(sys.z_block(j, k)(x)))
+                    ref["A2"] = max(ref["A2"], np.linalg.norm(z_block(sys, j, k)(x)))
             ref["A3"] = max(ref["A3"], np.linalg.norm(big - J @ big.conj().T @ J))
             ref["W_positive"] = min(ref["W_positive"], min_eig(sys.W(x)))
             ref["leading_positive"] = min(ref["leading_positive"],
-                                          min_eig(sys.z_block(2, 3)(x)))
+                                          min_eig(z_block(sys, 2, 3)(x)))
         for check in report.checks:
             assert not check.ok, check.name
             assert abs(check.worst - ref[check.name]) <= 1e-14 * max(1.0, abs(ref[check.name]))
